@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from repro.datasets import dataset_names, make_dataset
-from repro.discovery import EntityStrategy, discoverer_names, make_discoverer
+from repro.discovery import EntityStrategy, discoverer_names
 from repro.io.jsonlines import (
     INGEST_MODES,
     INGEST_POLICIES,
@@ -99,8 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ingest",
         choices=INGEST_MODES,
         default="classic",
-        help="how to read input: parse values (classic) or stream "
-        "interned record types in one pass over the bytes (fused)",
+        help="which reader to use: parse values (classic) or stream "
+        "interned record types from the bytes (fused); the output is "
+        "the same",
     )
     discover.add_argument(
         "--enrich", default=None, metavar="FEATURES",
@@ -142,11 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--merge-fanin", type=int, default=None, metavar="K",
         help="with --shards: fan-in of the partial-state merge tree "
         "(default 2; any value yields identical bytes)",
-    )
-    discover.add_argument(
-        "--num-partitions", default=None, metavar="N|auto",
-        help="dataset partition count for pipeline algorithms "
-        "(auto = adaptive from record count and worker count)",
     )
 
     validate = sub.add_parser(
@@ -293,17 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(
-    path: str, on_bad_record: str, ingest: str = "classic"
-) -> list:
-    if ingest == "fused":
-        from repro.io.fastpath import ingest_jsonlines_fused
-
-        records, report = ingest_jsonlines_fused(
-            path, on_bad_record=on_bad_record
-        )
-    else:
-        records, report = ingest_jsonlines(path, on_bad_record=on_bad_record)
+def _read_input(path: str, on_bad_record: str) -> list:
+    records, report = ingest_jsonlines(path, on_bad_record=on_bad_record)
     if not report.ok:
         print(f"warning: {report.summary()}", file=sys.stderr)
     return records
@@ -369,273 +356,97 @@ def _extract_tagged_union(state):
     return decisions[0] if decisions else None
 
 
-def _parse_count_or_auto(value: str, option: str):
-    """``"auto"`` → None (adaptive), else a positive int; errors exit 2."""
+def _parse_shards(value: str):
+    """``--shards``: ``"auto"`` or a positive int; errors exit 2."""
     if value == "auto":
-        return None
+        return value
     try:
         count = int(value)
     except ValueError:
         print(
-            f"error: {option} must be a positive integer or 'auto', "
+            f"error: --shards must be a positive integer or 'auto', "
             f"got {value!r}",
             file=sys.stderr,
         )
         raise SystemExit(2)
     if count < 1:
-        print(f"error: {option} must be >= 1, got {count}", file=sys.stderr)
+        print(f"error: --shards must be >= 1, got {count}", file=sys.stderr)
         raise SystemExit(2)
     return count
 
 
-def _cmd_discover(args: argparse.Namespace) -> int:
-    overrides = _discover_overrides(args)
+def _discover_usage_error(args: argparse.Namespace, overrides: dict):
+    """The message for a flag combination ``discover`` rejects, or
+    ``None``."""
     if args.shards is None and (
         args.workers is not None or args.merge_fanin is not None
     ):
-        print(
-            "error: --workers/--merge-fanin require --shards",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and args.enrich is not None:
-        print(
-            "error: --enrich cannot change a resumed state; enrichment "
-            "was fixed when the checkpoint was created",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shards is not None:
-        return _cmd_discover_sharded(args, overrides)
-    # Fused ingestion yields record *types*, and the state core is the
-    # layer that canonically consumes types for every algorithm — so
-    # fused discovery always routes through it, exactly like
-    # checkpointed/resumed and enriched runs do (enrichment lives on
-    # the state).
-    if (
-        args.checkpoint
-        or args.resume
-        or args.append
-        or args.enrich is not None
-        or args.ingest == "fused"
-    ):
-        return _cmd_discover_incremental(args, overrides)
-    if args.input is None:
-        print(
-            "error: discover needs an input file (or --resume)",
-            file=sys.stderr,
-        )
-        return 2
-    records = _read_input(args.input, args.on_bad_record)
-    if not records:
-        print("error: input contains no records", file=sys.stderr)
-        return 2
-    discoverer = make_discoverer(args.algorithm)
-    if overrides:
-        if not hasattr(discoverer, "config"):
-            print(
-                f"error: --threshold/--strategy options do not apply to "
-                f"{args.algorithm}",
-                file=sys.stderr,
-            )
-            return 2
-        discoverer.config = discoverer.config.with_(**overrides)
-    if args.num_partitions is not None:
-        if not hasattr(discoverer, "num_partitions"):
-            print(
-                f"error: --num-partitions does not apply to "
-                f"{args.algorithm}",
-                file=sys.stderr,
-            )
-            return 2
-        discoverer.num_partitions = _parse_count_or_auto(
-            args.num_partitions, "--num-partitions"
-        )
-    schema = discoverer.discover(records)
-    _emit_schema(schema, args)
-    return 0
-
-
-def _cmd_discover_sharded(args: argparse.Namespace, overrides: dict) -> int:
-    """Sharded discovery: byte-range fan-out via the shard coordinator.
-
-    Works for every algorithm (the coordinator goes through the state
-    core), composes with --checkpoint/--resume/--append, and — when a
-    checkpoint is requested — persists per-shard checkpoints so a
-    killed run resumes from completed shards.
-    """
-    import hashlib
-    import os
-    import shutil
-
-    from repro.discovery import JxplainConfig, load_state, save_state
-    from repro.engine.sharding import ShardCoordinator
-    from repro.errors import (
-        CheckpointError,
-        DatasetError,
-        EmptyInputError,
-        EngineError,
-    )
-
-    shards = _parse_count_or_auto(args.shards, "--shards")
-    executor = None
-    if args.workers is not None:
-        from repro.engine.executor import ProcessExecutor
-
-        executor = ProcessExecutor(max_workers=args.workers)
-    algorithm = args.algorithm
-    config = None
-    state = None
+        return "--workers/--merge-fanin require --shards"
     if args.resume:
         if not args.checkpoint:
-            print("error: --resume requires --checkpoint", file=sys.stderr)
-            return 2
+            return "--resume requires --checkpoint"
         if overrides:
-            print(
-                "error: --threshold/--strategy options cannot change a "
-                "resumed state; they were fixed when it was created",
-                file=sys.stderr,
+            return (
+                "--threshold/--strategy options cannot change a resumed "
+                "state; they were fixed when it was created"
             )
-            return 2
-        try:
-            state = load_state(args.checkpoint)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        algorithm = state.algorithm
-        config = getattr(state, "config", None)
-        # The checkpoint's enrichment (or its absence) governs: shard
-        # partials must merge into it.
-        enrich = (
-            state.enrichment.options
-            if state.enrichment is not None
-            else None
-        )
-    else:
-        if overrides:
-            config = JxplainConfig().with_(**overrides)
-        enrich = args.enrich
-    sources = [args.input] if args.input else []
-    sources.extend(args.append)
-    fanin = (
-        {} if args.merge_fanin is None else {"merge_fanin": args.merge_fanin}
-    )
-    used_shard_dirs = []
+        if args.enrich is not None:
+            return (
+                "--enrich cannot change a resumed state; enrichment was "
+                "fixed when the checkpoint was created"
+            )
+    elif args.input is None:
+        return "discover needs an input file (or --resume)"
+    return None
+
+
+def _cmd_discover(args: argparse.Namespace) -> int:
+    """Every ``discover`` route: one fold of the input files into a
+    :class:`~repro.discovery.state.DiscoveryState` (fresh, or loaded
+    from ``--checkpoint`` with ``--resume``), then synthesis."""
+    from repro.discovery import JxplainConfig, load_state, state_for_algorithm
+    from repro.engine.sharding import commit_checkpoint, fold_files
+    from repro.errors import EmptyInputError, ReproError
+
+    overrides = _discover_overrides(args)
+    problem = _discover_usage_error(args, overrides)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
+    shards = None if args.shards is None else _parse_shards(args.shards)
+    executor = None
+    sources = ([args.input] if args.input else []) + args.append
     try:
-        for source in sources:
-            shard_dir = None
-            if args.checkpoint:
-                digest = hashlib.sha256(
-                    str(source).encode("utf-8")
-                ).hexdigest()[:16]
-                shard_dir = os.path.join(
-                    f"{args.checkpoint}.shards", digest
-                )
-            coordinator = ShardCoordinator(
-                algorithm,
-                config,
-                executor=executor,
-                shards=shards,
-                on_bad_record=args.on_bad_record,
-                ingest=args.ingest,
-                checkpoint_dir=shard_dir,
-                enrich=enrich,
-                **fanin,
+        if args.resume:
+            state = load_state(args.checkpoint)
+        else:
+            config = JxplainConfig().with_(**overrides) if overrides else None
+            state = state_for_algorithm(
+                args.algorithm, config, enrich=args.enrich
             )
-            run = coordinator.run(source)
-            if not run.report.ok:
-                print(f"warning: {run.report.summary()}", file=sys.stderr)
-            state = run.state if state is None else state.merge(run.state)
-            if shard_dir is not None:
-                used_shard_dirs.append(shard_dir)
-    except (ValueError, EngineError, CheckpointError, DatasetError) as exc:
+        if args.workers is not None:
+            from repro.engine.executor import ProcessExecutor
+
+            executor = ProcessExecutor(max_workers=args.workers)
+        state, reports = fold_files(
+            state,
+            sources,
+            ingest=args.ingest,
+            on_bad_record=args.on_bad_record,
+            shards=shards,
+            executor=executor,
+            merge_fanin=args.merge_fanin,
+            checkpoint=args.checkpoint,
+        )
+    except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if executor is not None:
             executor.close()
-    if state is None or state.record_count == 0:
-        print("error: input contains no records", file=sys.stderr)
-        return 2
-    try:
-        schema = state.synthesize()
-    except EmptyInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.checkpoint:
-        save_state(state, args.checkpoint)
-        for shard_dir in used_shard_dirs:
-            shutil.rmtree(shard_dir, ignore_errors=True)
-        for shard_dir in used_shard_dirs:
-            try:
-                os.rmdir(os.path.dirname(shard_dir))
-            except OSError:
-                pass
-    _emit_schema(schema, args, state=state)
-    return 0
-
-
-def _cmd_discover_incremental(
-    args: argparse.Namespace, overrides: dict
-) -> int:
-    """Stateful discovery: checkpoint after the run, resume, append."""
-    from repro.discovery import (
-        JxplainConfig,
-        load_state,
-        save_state,
-        state_for_algorithm,
-    )
-    from repro.errors import CheckpointError, EmptyInputError
-
-    if args.resume:
-        if not args.checkpoint:
-            print("error: --resume requires --checkpoint", file=sys.stderr)
-            return 2
-        if overrides:
-            print(
-                "error: --threshold/--strategy options cannot change a "
-                "resumed state; they were fixed when it was created",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            state = load_state(args.checkpoint)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            config = None
-            if overrides:
-                config = JxplainConfig().with_(**overrides)
-            state = state_for_algorithm(
-                args.algorithm, config, enrich=args.enrich
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    sources = [args.input] if args.input else []
-    sources.extend(args.append)
-    for source in sources:
-        if args.ingest == "fused":
-            if state.enrichment is not None:
-                # Sketches need the parsed values, so an enriched
-                # fused run streams (type, value) pairs instead of
-                # cache-accelerated bare types.
-                from repro.io.fastpath import absorb_jsonlines_typed
-
-                report = absorb_jsonlines_typed(
-                    state, source, on_bad_record=args.on_bad_record
-                )
-                if not report.ok:
-                    print(
-                        f"warning: {report.summary()}", file=sys.stderr
-                    )
-            else:
-                for tau in _read_input(source, args.on_bad_record, "fused"):
-                    state.absorb_type(tau)
-        else:
-            state.absorb_many(_read_input(source, args.on_bad_record))
+    for report in reports:
+        if not report.ok:
+            print(f"warning: {report.summary()}", file=sys.stderr)
     if state.record_count == 0:
         print("error: input contains no records", file=sys.stderr)
         return 2
@@ -645,7 +456,7 @@ def _cmd_discover_incremental(
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.checkpoint:
-        save_state(state, args.checkpoint)
+        commit_checkpoint(state, args.checkpoint, sources)
     _emit_schema(schema, args, state=state)
     return 0
 

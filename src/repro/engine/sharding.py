@@ -11,13 +11,19 @@ back.  This module removes the driver from the data path entirely:
   source — O(shards) ``find`` calls, no records materialized.  Files
   that cannot be range-split (gzip, empty) become one whole-file
   shard.
+* **The kernel** (:func:`absorb_file`) is the only way a file reaches
+  a state: the selected reader streams a byte range into a
+  :class:`~repro.jsontypes.bag.CountedBag`, which the state absorbs
+  at per-*distinct*-type cost.  :func:`fold_files` drives it over a
+  list of sources — in process into the live state, or per source
+  through a :class:`ShardCoordinator` — for every file-reading entry
+  point.
 * **Per-shard discovery** (:func:`_run_shard`, the picklable worker
-  body) runs in warm-started worker processes.  Each worker ingests
-  its own byte range directly (fused path by default, building its
-  own intern pool and shape cache), folds the range into a
-  :class:`~repro.jsontypes.bag.CountedBag`, absorbs the bag into a
-  fresh state at per-*distinct*-type cost, and ships back the state's
-  ``to_bytes()`` — codec bytes, not a pickled object graph.
+  body) runs in warm-started worker processes.  Each worker runs the
+  kernel over its own byte range into a fresh state (fused path by
+  default, building its own intern pool and shape cache) and ships
+  back the state's ``to_bytes()`` — codec bytes, not a pickled object
+  graph.
 * **Tree-merge**: the driver decodes the partials and merges them in
   shard-index order with configurable fan-in.  Merge associativity is
   byte-exact (property-tested), so any fan-in yields bytes identical
@@ -143,25 +149,20 @@ def plan_shards(path, shards: Optional[int], workers: int) -> ShardPlan:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's work order (picklable; crosses the pool boundary).
-
-    ``algorithm`` is empty for record-level ingestion tasks
-    (:func:`ingest_shard`), which read a range without discovering.
-    """
+    """One shard's work order (picklable; crosses the pool boundary)."""
 
     index: int
     path: str
     start: int
     end: Optional[int]
-    algorithm: str = ""
+    algorithm: str
     config: Optional[object] = None
     on_bad_record: str = "raise"
     ingest: str = "fused"
     checkpoint_dir: Optional[str] = None
     #: Parsed :class:`~repro.discovery.sketches.EnrichmentOptions`
-    #: (frozen, picklable) or ``None``.  Enriched shards ingest with
-    #: the typed reader — sketches need the parsed values, so the
-    #: structural-hash fast path and the bag fold don't apply.
+    #: (frozen, picklable) or ``None``.  Enriched shards fold per
+    #: record (see :func:`absorb_file`).
     enrich: Optional[object] = None
 
 
@@ -279,55 +280,74 @@ def _load_shard_checkpoint(task: ShardTask) -> Optional[ShardResult]:
     )
 
 
-def ingest_shard(task: ShardTask):
-    """Read one shard's records (no discovery): ``(index, records,
-    report)``.
+def absorb_file(
+    state,
+    path,
+    *,
+    ingest: str,
+    on_bad_record: str,
+    start: int = 0,
+    end: Optional[int] = None,
+):
+    """Fold one file (or its ``[start, end)`` byte range) into ``state``.
 
-    The record-level sibling of :func:`_run_shard`, for consumers
-    that need the records themselves
-    (:meth:`~repro.engine.dataset.LocalDataset.from_jsonlines_sharded`).
-    Note the records cross the pool boundary as pickled objects — far
-    heavier than state bytes — so discovery should go through
-    :class:`ShardCoordinator` instead.
+    The one way a file reaches a
+    :class:`~repro.discovery.state.DiscoveryState`: the selected reader
+    streams the range into a :class:`~repro.jsontypes.bag.CountedBag`
+    and the state absorbs the bag — byte-identical to per-record
+    absorption (bag order is first-occurrence order) at
+    per-*distinct*-type cost.  Enriched states are the one exception:
+    sketches need every record's parsed value, so they fold per record
+    (the typed reader under ``fused``, the classic reader otherwise).
+
+    Returns the range's :class:`~repro.io.jsonlines.IngestReport`.  On
+    a ``raise``-policy error an unenriched state is left untouched.
     """
-    from repro.io.jsonlines import IngestReport
+    from repro.io.jsonlines import (
+        IngestReport,
+        _check_ingest_mode,
+        read_jsonlines,
+    )
+    from repro.jsontypes.bag import CountedBag
 
-    report = IngestReport(path=task.path, policy=task.on_bad_record)
-    if task.ingest == "fused":
+    _check_ingest_mode(ingest)
+    path = os.fspath(path)
+    report = IngestReport(path=path, policy=on_bad_record)
+    ranged = {
+        "on_bad_record": on_bad_record,
+        "report": report,
+        "start": start,
+        "end": end,
+    }
+    if state.enrichment is not None:
+        if ingest == "fused":
+            from repro.io.fastpath import read_jsonlines_typed
+
+            for tau, value in read_jsonlines_typed(path, **ranged):
+                state.absorb_typed(tau, value)
+        else:
+            for value in read_jsonlines(path, **ranged):
+                state.absorb(value)
+        return report
+    if ingest == "fused":
         from repro.io.fastpath import read_jsonlines_fused
 
-        records = list(
-            read_jsonlines_fused(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=task.end,
-            )
-        )
+        types = read_jsonlines_fused(path, **ranged)
     else:
-        from repro.io.jsonlines import read_jsonlines
+        from repro.jsontypes.types import type_of
 
-        records = list(
-            read_jsonlines(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=task.end,
-            )
-        )
-    return task.index, records, report
+        types = map(type_of, read_jsonlines(path, **ranged))
+    state.absorb_bag(CountedBag.from_types(types))
+    return report
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
     """The worker body: one shard's range → serialized state partial.
 
     Module-level and argument-picklable, so the process backend ships
-    it for real.  Reads the byte range with the selected reader, folds
-    it into a :class:`~repro.jsontypes.bag.CountedBag`, and absorbs
-    the bag — byte-identical to per-record absorption (bag order is
-    first-occurrence order) at per-distinct-type cost.
+    it for real.  A completed shard's checkpoint is loaded as is;
+    otherwise the range goes through :func:`absorb_file` into a fresh
+    state, shipped back as ``to_bytes()``.
     """
     if task.checkpoint_dir is not None:
         cached = _load_shard_checkpoint(task)
@@ -337,71 +357,19 @@ def _run_shard(task: ShardTask) -> ShardResult:
             return cached
 
     from repro.discovery.state import state_for_algorithm
-    from repro.io.jsonlines import IngestReport
-    from repro.jsontypes.bag import CountedBag
 
     before = _perf_snapshot()
-    report = IngestReport(path=task.path, policy=task.on_bad_record)
-    end = task.end
     state = state_for_algorithm(
         task.algorithm, task.config, enrich=task.enrich
     )
-    if task.enrich is not None:
-        # Enrichment needs every record's parsed value, so the shard
-        # folds per record through the typed reader instead of through
-        # the bag.  Per-record absorption and the bag fold are
-        # byte-identical on the structural side (bag order is
-        # first-occurrence order), so enriched partials still strip to
-        # the plain partials' bytes.
-        if task.ingest == "fused":
-            from repro.io.fastpath import read_jsonlines_typed
-
-            for tau, value in read_jsonlines_typed(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=end,
-            ):
-                state.absorb_typed(tau, value)
-        else:
-            from repro.io.jsonlines import read_jsonlines
-
-            for value in read_jsonlines(
-                task.path,
-                on_bad_record=task.on_bad_record,
-                report=report,
-                start=task.start,
-                end=end,
-            ):
-                state.absorb(value)
-    elif task.ingest == "fused":
-        from repro.io.fastpath import read_jsonlines_fused
-
-        bag = CountedBag()
-        for tau in read_jsonlines_fused(
-            task.path,
-            on_bad_record=task.on_bad_record,
-            report=report,
-            start=task.start,
-            end=end,
-        ):
-            bag.add(tau)
-        state.absorb_bag(bag)
-    else:
-        from repro.io.jsonlines import read_jsonlines
-        from repro.jsontypes.types import type_of
-
-        bag = CountedBag()
-        for value in read_jsonlines(
-            task.path,
-            on_bad_record=task.on_bad_record,
-            report=report,
-            start=task.start,
-            end=end,
-        ):
-            bag.add(type_of(value))
-        state.absorb_bag(bag)
+    report = absorb_file(
+        state,
+        task.path,
+        ingest=task.ingest,
+        on_bad_record=task.on_bad_record,
+        start=task.start,
+        end=task.end,
+    )
     state_bytes = state.to_bytes()
     counters.add("sharding.shards_completed")
     deltas = _snapshot_delta(before, _perf_snapshot())
@@ -683,3 +651,111 @@ def discover_sharded(
         enrich=enrich,
     )
     return coordinator.run(path, timer=timer)
+
+
+# -- the multi-file driver ------------------------------------------------------
+
+
+def shard_checkpoint_dir(checkpoint, source) -> Optional[str]:
+    """Per-source shard checkpoint directory under the main checkpoint,
+    or ``None`` when no checkpoint was requested.
+
+    Keyed by a digest of the source path (the shard manifest validates
+    the full parameter set, so the name only has to be distinct per
+    source).
+    """
+    if checkpoint is None:
+        return None
+    import hashlib
+
+    digest = hashlib.sha256(
+        os.fspath(source).encode("utf-8")
+    ).hexdigest()[:16]
+    return os.path.join(f"{os.fspath(checkpoint)}.shards", digest)
+
+
+def fold_files(
+    state,
+    sources: Sequence,
+    *,
+    ingest: str,
+    on_bad_record: str,
+    shards=None,
+    executor=None,
+    merge_fanin: Optional[int] = None,
+    checkpoint=None,
+    timer: Optional[StageTimer] = None,
+):
+    """Fold ``sources`` in order into ``state``: ``(state, reports)``.
+
+    The driver behind every file-reading entry point (CLI ``discover``,
+    :meth:`~repro.discovery.pipeline.JxplainPipeline.run_file`).
+    ``shards=None`` folds each source into the live state with
+    :func:`absorb_file`, never touching the codec.  ``shards="auto"``
+    or a positive int runs each source through a
+    :class:`ShardCoordinator` (configured from the state itself:
+    algorithm, config and enrichment) and merges its partial in;
+    with a ``checkpoint``, each source's shards persist under
+    :func:`shard_checkpoint_dir` until :func:`commit_checkpoint`.
+    Either way the result's bytes equal a serial scan of the
+    concatenated sources.
+
+    Returns the folded state (a new object after a sharded merge) and
+    one :class:`~repro.io.jsonlines.IngestReport` per source.
+    """
+    timer = timer if timer is not None else StageTimer()
+    reports = []
+    for source in sources:
+        if shards is None:
+            with timer.stage("absorb"):
+                reports.append(
+                    absorb_file(
+                        state,
+                        source,
+                        ingest=ingest,
+                        on_bad_record=on_bad_record,
+                    )
+                )
+            continue
+        coordinator = ShardCoordinator(
+            state.algorithm,
+            getattr(state, "config", None),
+            executor=executor,
+            shards=None if shards == "auto" else shards,
+            on_bad_record=on_bad_record,
+            ingest=ingest,
+            checkpoint_dir=shard_checkpoint_dir(checkpoint, source),
+            enrich=(
+                state.enrichment.options
+                if state.enrichment is not None
+                else None
+            ),
+            merge_fanin=(
+                DEFAULT_MERGE_FANIN if merge_fanin is None else merge_fanin
+            ),
+        )
+        run = coordinator.run(source, timer=timer)
+        reports.append(run.report)
+        # Merging into the empty identity is a copy; skip it.
+        state = (
+            run.state if state.record_count == 0 else state.merge(run.state)
+        )
+    return state, reports
+
+
+def commit_checkpoint(state, checkpoint, sources: Sequence) -> None:
+    """Save ``state`` to ``checkpoint``, then drop the per-source shard
+    checkpoints (they only matter while a run can still be killed)."""
+    import shutil
+
+    from repro.discovery.state import save_state
+
+    save_state(state, checkpoint)
+    shard_dirs = [shard_checkpoint_dir(checkpoint, s) for s in sources]
+    for shard_dir in shard_dirs:
+        shutil.rmtree(shard_dir, ignore_errors=True)
+    if shard_dirs:
+        try:
+            os.rmdir(os.path.dirname(shard_dirs[0]))
+        except OSError:
+            pass

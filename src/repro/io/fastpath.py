@@ -367,36 +367,6 @@ def _flush_typed_counters(records: int, nbytes: int) -> None:
     counters.add("ingest.bytes", nbytes)
 
 
-def absorb_jsonlines_typed(
-    state,
-    path: PathLike,
-    *,
-    on_bad_record: str = "raise",
-    start: int = 0,
-    end: Optional[int] = None,
-) -> IngestReport:
-    """One-pass *enriched* ingestion: types and values into a state.
-
-    The enrichment analogue of :func:`absorb_jsonlines_fused`: each
-    record's interned type feeds the structural fold and its parsed
-    value feeds the state's enrichment sidecar, via
-    ``state.absorb_typed``.  Works on unenriched states too (the value
-    is then simply dropped), so callers can branch on the reader
-    rather than the state.  Returns the filled report.
-    """
-    report = IngestReport(path=str(path), policy=on_bad_record)
-    absorb_typed = state.absorb_typed
-    for tau, value in read_jsonlines_typed(
-        path,
-        on_bad_record=on_bad_record,
-        report=report,
-        start=start,
-        end=end,
-    ):
-        absorb_typed(tau, value)
-    return report
-
-
 def ingest_jsonlines_fused(
     path: PathLike,
     *,
@@ -418,28 +388,3 @@ def ingest_jsonlines_fused(
     )
     return types, report
 
-
-def absorb_jsonlines_fused(
-    state,
-    path: PathLike,
-    *,
-    on_bad_record: str = "raise",
-    shape_cache: Optional[ShapeCache] = None,
-) -> IngestReport:
-    """One-pass ingestion: stream a file's types straight into a
-    :class:`~repro.discovery.state.DiscoveryState`.
-
-    Equivalent to ``state.absorb(value)`` over the classic reader —
-    same resulting state bytes, same report — without ever holding
-    more than one line in memory.  Returns the filled report.
-    """
-    report = IngestReport(path=str(path), policy=on_bad_record)
-    absorb_type = state.absorb_type
-    for tau in read_jsonlines_fused(
-        path,
-        on_bad_record=on_bad_record,
-        report=report,
-        shape_cache=shape_cache,
-    ):
-        absorb_type(tau)
-    return report

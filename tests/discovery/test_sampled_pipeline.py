@@ -15,6 +15,18 @@ class TestSampledPipeline:
         with pytest.raises(ValueError):
             JxplainPipeline(heuristic_sample=1.5)
 
+    def test_run_file_rejects_sampling(self, tmp_path):
+        """run_file folds every record into the state core, so a
+        sampled run_file raises instead of silently not sampling."""
+        from repro.io.jsonlines import write_jsonlines
+
+        path = tmp_path / "data.jsonl"
+        write_jsonlines(path, [{"a": 1}, {"a": 2}])
+        with pytest.raises(ValueError, match="heuristic_sample"):
+            JxplainPipeline(heuristic_sample=0.5).run_file(path)
+        full = JxplainPipeline(heuristic_sample=1.0).run_file(path)
+        assert full.record_count == 2
+
     def test_full_fraction_equals_unsampled(self, login_serve_stream):
         full = JxplainPipeline().discover(login_serve_stream)
         sampled = JxplainPipeline(heuristic_sample=1.0).discover(

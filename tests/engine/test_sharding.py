@@ -303,22 +303,44 @@ class TestCounterFlush:
         )
 
 
-class TestShardedDataset:
-    def test_from_jsonlines_sharded_matches_records(self, corpus, records):
-        from repro.engine import LocalDataset
+class TestFoldKernel:
+    @pytest.mark.parametrize("ingest", ["classic", "fused"])
+    @pytest.mark.parametrize("algorithm", ["l-reduce", "k-reduce", "jxplain"])
+    def test_ranged_absorb_equals_per_record_scan(
+        self, corpus, algorithm, ingest
+    ):
+        from repro.engine.sharding import absorb_file
 
-        dataset = LocalDataset.from_jsonlines_sharded(corpus, shards=3)
-        assert dataset.num_partitions == 3
-        assert dataset.collect() == records
-        assert dataset.ingest_report.record_count == len(records)
+        state = state_for_algorithm(algorithm, None)
+        for start, end in plan_shards(corpus, 3, workers=1).ranges:
+            absorb_file(
+                state, corpus, ingest=ingest, on_bad_record="raise",
+                start=start, end=end,
+            )
+        assert state.to_bytes() == serial_state_bytes(corpus, algorithm)
 
-    def test_from_jsonlines_sharded_fused(self, corpus):
-        from repro.engine import LocalDataset
-        from repro.jsontypes.types import JsonType
-
-        dataset = LocalDataset.from_jsonlines_sharded(
-            corpus, shards=3, ingest="fused"
+    def test_fold_files_sharded_equals_in_process(self, corpus, tmp_path):
+        from repro.engine.sharding import (
+            commit_checkpoint,
+            fold_files,
+            shard_checkpoint_dir,
         )
-        collected = dataset.collect()
-        assert len(collected) == 400
-        assert all(isinstance(tau, JsonType) for tau in collected)
+
+        sources = [corpus, corpus]
+        serial, serial_reports = fold_files(
+            state_for_algorithm("jxplain"), sources,
+            ingest="classic", on_bad_record="raise",
+        )
+        checkpoint = tmp_path / "state.ckpt"
+        sharded, sharded_reports = fold_files(
+            state_for_algorithm("jxplain"), sources,
+            ingest="fused", on_bad_record="raise", shards=3,
+            checkpoint=checkpoint,
+        )
+        assert sharded.to_bytes() == serial.to_bytes()
+        assert [r.record_count for r in sharded_reports] == [400, 400]
+        assert [r.record_count for r in serial_reports] == [400, 400]
+        assert os.path.isdir(shard_checkpoint_dir(checkpoint, corpus))
+        commit_checkpoint(sharded, checkpoint, sources)
+        assert checkpoint.read_bytes() == serial.to_bytes()
+        assert not (tmp_path / "state.ckpt.shards").exists()

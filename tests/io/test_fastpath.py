@@ -15,12 +15,9 @@ import json
 import pytest
 
 from repro.engine.dataset import LocalDataset
+from repro.engine.sharding import absorb_file
 from repro.errors import DatasetError
-from repro.io.fastpath import (
-    absorb_jsonlines_fused,
-    ingest_jsonlines_fused,
-    read_jsonlines_fused,
-)
+from repro.io.fastpath import ingest_jsonlines_fused, read_jsonlines_fused
 from repro.io.jsonlines import (
     IngestReport,
     ingest_jsonlines,
@@ -119,7 +116,9 @@ def test_absorb_fused_streams_into_state(tmp_path):
 
     path = _write(tmp_path / "s.jsonl", ['{"a": 1}', '{"a": 1, "b": "x"}'])
     fused_state = state_for_algorithm("l-reduce", None)
-    report = absorb_jsonlines_fused(fused_state, path)
+    report = absorb_file(
+        fused_state, path, ingest="fused", on_bad_record="raise"
+    )
     assert isinstance(report, IngestReport)
     assert report.record_count == 2
     classic_state = state_for_algorithm("l-reduce", None)
@@ -136,24 +135,32 @@ def test_load_jsonlines_ingest_modes(tmp_path):
 
 
 def test_dataset_from_jsonlines_fused(tmp_path):
+    from repro.discovery.state import state_for_algorithm
+
     path = _write(tmp_path / "ds.jsonl", ['{"a": 1}', '{"b": [1]}'] * 4)
-    dataset = LocalDataset.from_jsonlines(path, ingest="fused")
-    assert dataset.ingest_report.record_count == 8
+    types, report = ingest_jsonlines_fused(path)
+    dataset = LocalDataset.from_records(types)
+    assert report.record_count == 8
     assert sorted(map(repr, set(dataset.collect()))) == sorted(
         map(repr, {type_of({"a": 1}), type_of({"b": [1]})})
     )
     with pytest.raises(DatasetError, match="unknown ingest mode"):
-        LocalDataset.from_jsonlines(path, ingest="warp")
+        absorb_file(
+            state_for_algorithm("l-reduce"),
+            path,
+            ingest="warp",
+            on_bad_record="raise",
+        )
 
 
 def test_adaptive_partitioning_is_opt_in(tmp_path):
     from repro.engine.dataset import adaptive_partitions
 
-    path = _write(tmp_path / "tiny.jsonl", ['{"a": 1}'] * 6)
+    records = load_jsonlines(_write(tmp_path / "tiny.jsonl", ['{"a": 1}'] * 6))
     # Explicit default: unchanged layout.
-    assert LocalDataset.from_jsonlines(path).num_partitions == 4
+    assert LocalDataset.from_records(records).num_partitions == 4
     # Adaptive: six records collapse to one partition.
-    assert LocalDataset.from_jsonlines(path, None).num_partitions == 1
+    assert LocalDataset.from_records(records, None).num_partitions == 1
     assert adaptive_partitions(0, 8) == 1
     assert adaptive_partitions(100, 8) == 1
     assert adaptive_partitions(4096, 8) == 4

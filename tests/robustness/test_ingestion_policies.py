@@ -14,7 +14,6 @@ import os
 
 import pytest
 
-from repro.engine import LocalDataset
 from repro.errors import DatasetError
 from repro.io import (
     BAD_PAYLOAD_LIMIT,
@@ -148,23 +147,40 @@ def test_gzip_round_trip_with_bad_lines(tmp_path):
     assert report.bad_records[0].byte_offset == 9
 
 
-def test_dataset_from_jsonlines_attaches_report():
-    dataset = LocalDataset.from_jsonlines(
-        fixture("truncated.jsonl"), 2, on_bad_record="skip"
+def test_absorb_file_returns_report():
+    from repro.discovery import state_for_algorithm
+    from repro.engine import absorb_file
+
+    state = state_for_algorithm("l-reduce")
+    report = absorb_file(
+        state, fixture("truncated.jsonl"), ingest="classic",
+        on_bad_record="skip",
     )
-    assert dataset.collect() == [
-        {"id": 1, "kind": "event"},
-        {"id": 2, "kind": "event", "tags": ["a", "b"]},
-    ]
-    assert dataset.ingest_report is not None
-    assert dataset.ingest_report.bad_line_numbers() == [3]
-    # Derived datasets describe transformations, not the source file.
-    assert dataset.map(lambda r: r).ingest_report is None
+    reference = state_for_algorithm("l-reduce")
+    reference.absorb_many(
+        [
+            {"id": 1, "kind": "event"},
+            {"id": 2, "kind": "event", "tags": ["a", "b"]},
+        ]
+    )
+    assert state.to_bytes() == reference.to_bytes()
+    assert report.bad_line_numbers() == [3]
+    assert report.record_count == 2
 
 
-def test_dataset_from_jsonlines_default_raises():
-    with pytest.raises(DatasetError):
-        LocalDataset.from_jsonlines(fixture("truncated.jsonl"))
+def test_absorb_file_default_raises():
+    from repro.discovery import state_for_algorithm
+    from repro.engine import absorb_file
+
+    for ingest in ("classic", "fused"):
+        state = state_for_algorithm("l-reduce")
+        with pytest.raises(DatasetError):
+            absorb_file(
+                state, fixture("truncated.jsonl"), ingest=ingest,
+                on_bad_record="raise",
+            )
+        # The bag fold absorbs nothing from a file that aborts.
+        assert state.record_count == 0
 
 
 def test_report_summary_names_positions():

@@ -138,3 +138,17 @@ class TestDiscoverConfigFlags:
              "--threshold", "2.0"]
         )
         assert code == 2
+        capsys.readouterr()
+        # One message, rc 2, on every route.
+        for algorithm in ("l-reduce", "k-reduce"):
+            errors = set()
+            for route in ([], ["--ingest", "fused"], ["--shards", "2"]):
+                code = main(
+                    ["discover", str(data), "--algorithm", algorithm,
+                     "--threshold", "2.0", *route]
+                )
+                assert code == 2
+                errors.add(capsys.readouterr().err)
+            assert errors == {
+                f"error: {algorithm} takes no configuration\n"
+            }
