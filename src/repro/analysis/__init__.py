@@ -4,10 +4,13 @@ PRs 1–4 made correctness rest on cross-cutting *laws* — deterministic
 encoding, picklable executor tasks, supervision that never swallows
 errors, seeded randomness, thread-safe counters, closed codec
 registries, real fault-target stage names.  This package machine-checks
-them: an AST rule framework (:mod:`~repro.analysis.base`), the seven
-codebase-specific rules (:mod:`~repro.analysis.rules`), and a driver
-(:mod:`~repro.analysis.driver`) with per-file content-hash caching that
-fans file analysis out over the engine's executor backends.
+them: an AST rule framework (:mod:`~repro.analysis.base`), the
+codebase-specific rules R1–R10 (:mod:`~repro.analysis.rules`), and a
+driver (:mod:`~repro.analysis.driver`) with a per-file content-hash
+cache that fans file analysis out over the engine's executor backends.
+The interprocedural rules R8–R10 resolve their function summaries in
+one in-process, callee-first pass (:mod:`~repro.analysis.summaries`)
+over the call graph (:mod:`~repro.analysis.callgraph`).
 
 Quick use::
 
@@ -23,7 +26,6 @@ findings live in a checked-in baseline file.
 
 from repro.analysis.base import (
     ANALYZER_VERSION,
-    FinalizeContext,
     LintError,
     Rule,
     RuleContext,
@@ -56,7 +58,6 @@ __all__ = [
     "DEFAULT_BASELINE_PATH",
     "DEFAULT_CACHE_PATH",
     "DEFAULT_EXCLUDES",
-    "FinalizeContext",
     "Finding",
     "LintError",
     "LintResult",

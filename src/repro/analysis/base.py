@@ -9,6 +9,11 @@ fault-spec stages separately, then reconciles them in
 :meth:`Rule.finalize` once the whole run has been scanned.  Keeping
 facts serializable is what lets per-file analysis fan out over the
 process executor backend and survive the content-hash cache.
+
+Finalize is one in-process pass over the current facts.  Nothing a
+rule computes there outlives the pass: the only cross-run reuse is
+the driver replaying a whole finalize phase's findings when no linted
+file changed.
 """
 
 from __future__ import annotations
@@ -25,36 +30,6 @@ ANALYZER_VERSION = 2
 
 class LintError(ReproError, RuntimeError):
     """The analyzer was configured or invoked incorrectly."""
-
-
-class FinalizeContext:
-    """What the driver knows at finalize time, offered to the rules.
-
-    The finalize phase is keyed on the rule-set-wide content-hash
-    vector (every linted file's digest), so a rule can trust that
-    ``previous`` state corresponds exactly to the digests it recorded
-    there — the basis for incremental recomputation (R8's summary
-    invalidation) and for the finalize-phase cache itself.
-    """
-
-    def __init__(
-        self,
-        *,
-        digests: Optional[Dict[str, str]] = None,
-        executor=None,
-        previous: Optional[Dict[str, dict]] = None,
-    ):
-        #: rel path → sha256 of the file content this run.
-        self.digests: Dict[str, str] = dict(digests or {})
-        #: The run's executor backend, for fan-out inside finalize.
-        self.executor = executor
-        #: state key → payload stored by the previous finalize run.
-        self.previous: Dict[str, dict] = dict(previous or {})
-        #: state key → payload to persist for the next run.
-        self.new_state: Dict[str, dict] = {}
-        #: Scratch space shared by the rules of one finalize pass
-        #: (e.g. the interprocedural project model, built once).
-        self.shared: dict = {}
 
 
 class RuleContext:
@@ -113,15 +88,15 @@ class Rule:
     def finalize(
         self,
         facts_by_file: Dict[str, List[dict]],
-        context: Optional[FinalizeContext] = None,
+        shared: Optional[dict] = None,
     ) -> List[Finding]:
         """Cross-file reconciliation over every file's facts.
 
         Called once per run, in the driver, after all files have been
-        analyzed (or served from cache).  ``context`` (when the driver
-        supplies one) carries digests, the executor backend, and the
-        previous run's finalize state.  The default is no cross-file
-        component.
+        analyzed (or served from cache).  ``shared`` is a scratch dict
+        common to every rule of one finalize pass, so rules that query
+        one derived structure (R8–R10's project model) build it once.
+        The default is no cross-file component.
         """
         return []
 

@@ -42,7 +42,7 @@ write_schema``, ``repro.engine.executor::Executor.map_list``).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Bump when extraction output changes shape (part of the facts dicts).
 FACTS_VERSION = 1
@@ -474,8 +474,6 @@ class CallGraph:
         self.symbols = symbols
         #: caller id → sorted callee ids.
         self.edges: Dict[str, List[str]] = {}
-        #: callee id → sorted caller ids.
-        self.reverse: Dict[str, List[str]] = {}
         #: function id → rel path of its defining file.
         self.file_of: Dict[str, str] = {}
 
@@ -488,21 +486,13 @@ class CallGraph:
         if callee not in bucket:
             bucket.append(callee)
             bucket.sort()
-        back = self.reverse.setdefault(callee, [])
-        if caller not in back:
-            back.append(caller)
-            back.sort()
-
-    def callees(self, function_id: str) -> List[str]:
-        return self.edges.get(function_id, [])
-
-    def callers(self, function_id: str) -> List[str]:
-        return self.reverse.get(function_id, [])
-
-    # -- orderings ------------------------------------------------------------
 
     def sccs(self) -> List[List[str]]:
-        """Tarjan SCCs in reverse-topological (callee-first) order."""
+        """Tarjan SCCs in reverse-topological (callee-first) order.
+
+        Every component comes after the components it calls into, so
+        resolving them in this order sees each callee's summary done.
+        """
         index: Dict[str, int] = {}
         lowlink: Dict[str, int] = {}
         on_stack: Set[str] = set()
@@ -551,57 +541,6 @@ class CallGraph:
         for node in sorted(self.edges):
             if node not in index:
                 strongconnect(node)
-        return out
-
-    def scc_levels(self) -> List[List[List[str]]]:
-        """SCCs grouped into dependency levels.
-
-        Every SCC in level *k* only calls into SCCs of levels < *k* (or
-        itself), so all SCCs within one level can resolve in parallel —
-        the unit the driver fans out over the executor.
-        """
-        components = self.sccs()
-        component_of: Dict[str, int] = {}
-        for position, component in enumerate(components):
-            for member in component:
-                component_of[member] = position
-        depth: Dict[int, int] = {}
-        for position, component in enumerate(components):
-            level = 0
-            for member in component:
-                for callee in self.edges.get(member, []):
-                    target = component_of.get(callee)
-                    if target is not None and target != position:
-                        level = max(level, depth[target] + 1)
-            depth[position] = level
-        levels: Dict[int, List[List[str]]] = {}
-        for position, component in enumerate(components):
-            levels.setdefault(depth[position], []).append(component)
-        return [levels[key] for key in sorted(levels)]
-
-    def dependent_files(self, changed: Iterable[str]) -> Set[str]:
-        """Files whose summaries a change to ``changed`` files can
-        affect: the changed files plus transitive *callers* of any
-        function they define."""
-        changed_set = set(changed)
-        dirty_functions = [
-            function_id
-            for function_id, path in self.file_of.items()
-            if path in changed_set
-        ]
-        seen: Set[str] = set(dirty_functions)
-        queue = list(dirty_functions)
-        while queue:
-            current = queue.pop()
-            for caller in self.callers(current):
-                if caller not in seen:
-                    seen.add(caller)
-                    queue.append(caller)
-        out = set(changed_set)
-        for function_id in seen:
-            path = self.file_of.get(function_id)
-            if path is not None:
-                out.add(path)
         return out
 
 

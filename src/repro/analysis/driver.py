@@ -12,8 +12,11 @@ the driver:
   signature of (analyzer version, active rules), so a re-run after a
   small edit re-analyzes only the edited files;
 * runs each rule's cross-file :meth:`~repro.analysis.base.Rule.finalize`
-  over the accumulated facts — cached files contribute their facts
-  without re-parsing.
+  over the accumulated facts, in process — cached files contribute
+  their facts without re-parsing.  The whole finalize phase is
+  replayed from the cache only when the digest vector (every linted
+  file's content hash, under the same rule signature) is identical;
+  any edit re-runs it from scratch.
 
 Inline suppressions are honoured inside the per-file task (they are
 part of the hashed content); the checked-in baseline is applied at the
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import (
-    FinalizeContext,
     LintError,
     Rule,
     RuleContext,
@@ -202,9 +204,31 @@ class LintResult:
         return worst is not None and worst >= fail_on
 
 
+#: What decoding a well-formed JSON value of the wrong shape raises.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _decode_findings(payloads) -> List[Finding]:
+    """Stored finding dicts → findings; raises one of ``_MALFORMED``
+    on anything :meth:`Finding.to_dict` could not have written."""
+    findings = [Finding.from_dict(payload) for payload in payloads]
+    for finding in findings:
+        if not (
+            isinstance(finding.file, str)
+            and isinstance(finding.line, int)
+            and isinstance(finding.column, int)
+            and isinstance(finding.rule_id, str)
+            and isinstance(finding.message, str)
+        ):
+            raise ValueError(f"malformed cached finding: {finding!r}")
+    return findings
+
+
 class _LintCache:
     """Content-hash cache of per-file reports (findings + facts), plus
-    the finalize-phase entry keyed on the rule-set-wide digest vector."""
+    the finalize-phase findings keyed on the rule-set-wide digest
+    vector.  A corrupt cache, or any entry that does not decode, is
+    just a miss."""
 
     def __init__(self, path: Optional[str], signature: str):
         self._path = path
@@ -216,30 +240,50 @@ class _LintCache:
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return  # a corrupt cache is just a cold cache
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            return
         if (
-            payload.get("version") == _CACHE_VERSION
+            isinstance(payload, dict)
+            and payload.get("version") == _CACHE_VERSION
             and payload.get("signature") == signature
         ):
-            self._files = payload.get("files", {})
+            files = payload.get("files")
+            self._files = files if isinstance(files, dict) else {}
             self._finalize = payload.get("finalize")
 
     def lookup(self, rel_path: str, digest: str) -> Optional[dict]:
         entry = self._files.get(rel_path)
-        if entry is not None and entry.get("sha256") == digest:
-            return entry["report"]
-        return None
+        if not isinstance(entry, dict) or entry.get("sha256") != digest:
+            return None
+        report = entry.get("report")
+        try:
+            _decode_findings(report["findings"])
+            facts_ok = all(
+                isinstance(facts, list) for facts in report["facts"].values()
+            )
+        except _MALFORMED:
+            return None
+        return report if facts_ok else None
 
     def store(self, rel_path: str, digest: str, report: dict) -> None:
         self._files[rel_path] = {"sha256": digest, "report": report}
 
-    def finalize_entry(self) -> Optional[dict]:
-        """The stored finalize phase: vector, findings, rule state."""
-        return self._finalize
+    def finalize_findings(self, vector: str) -> Optional[List[Finding]]:
+        """The stored finalize-phase findings, if recorded for exactly
+        this digest vector."""
+        entry = self._finalize
+        if not isinstance(entry, dict) or entry.get("vector") != vector:
+            return None
+        try:
+            return _decode_findings(entry["findings"])
+        except _MALFORMED:
+            return None
 
-    def store_finalize(self, entry: dict) -> None:
-        self._finalize = entry
+    def store_finalize(self, vector: str, findings: List[Finding]) -> None:
+        self._finalize = {
+            "vector": vector,
+            "findings": [finding.to_dict() for finding in findings],
+        }
 
     def save(self) -> None:
         if self._path is None:
@@ -348,31 +392,14 @@ def run_lint(
     vector = hashlib.sha256(
         f"{signature}\n{vector_basis}".encode("utf-8")
     ).hexdigest()
-    stored = cache.finalize_entry()
-    if stored is not None and stored.get("vector") == vector:
-        finalize_findings = [
-            Finding.from_dict(payload)
-            for payload in stored.get("findings", ())
-        ]
+    finalize_findings = cache.finalize_findings(vector)
+    if finalize_findings is not None:
         counters.add("lint.finalize_cache_hits", 1)
     else:
-        finalize_context = FinalizeContext(
-            digests=digests,
-            executor=backend,
-            previous=(stored or {}).get("state", {}),
-        )
         finalize_findings = _finalized_findings(
-            active_rules, rel_paths, files, reports, finalize_context
+            active_rules, rel_paths, files, reports
         )
-        cache.store_finalize(
-            {
-                "vector": vector,
-                "findings": [
-                    finding.to_dict() for finding in finalize_findings
-                ],
-                "state": finalize_context.new_state,
-            }
-        )
+        cache.store_finalize(vector, finalize_findings)
         counters.add("lint.finalize_runs", 1)
     cache.save()
 
@@ -399,10 +426,10 @@ def _finalized_findings(
     rel_paths: Sequence[str],
     files: Sequence[str],
     reports: Dict[str, dict],
-    context: Optional[FinalizeContext] = None,
 ) -> List[Finding]:
     """Cross-file findings, with inline suppressions re-applied."""
     abs_by_rel = dict(zip(rel_paths, files))
+    shared: dict = {}
     out: List[Finding] = []
     for rule in active_rules:
         facts_key = rule.facts_key or rule.rule_id
@@ -411,7 +438,7 @@ def _finalized_findings(
             for rel_path in rel_paths
             if rel_path in reports
         }
-        for finding in rule.finalize(facts_by_file, context=context):
+        for finding in rule.finalize(facts_by_file, shared):
             abs_path = abs_by_rel.get(finding.file)
             if abs_path is not None:
                 try:

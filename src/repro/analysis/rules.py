@@ -810,7 +810,7 @@ class StageNameDisciplineRule(Rule):
         for stage in _fault_spec_stages(spec_text):
             facts.append({"kind": "ref", "stage": stage, "line": node.lineno})
 
-    def finalize(self, facts_by_file, context=None):
+    def finalize(self, facts_by_file, shared=None):
         defined: Set[str] = set()
         references: List[Tuple[str, str, int]] = []
         for path, facts in facts_by_file.items():
@@ -854,8 +854,8 @@ class StageNameDisciplineRule(Rule):
 # All three share one per-file extraction (symbol skeleton + taint
 # facts) stored under the common facts key "XP", and one driver-side
 # project model (symbol table → call graph → SCC-ordered summary
-# fixpoint) built at most once per finalize pass and memoized on the
-# FinalizeContext.
+# fixpoint) built at most once per finalize pass and memoized in the
+# pass's ``shared`` scratch dict.
 
 from repro.analysis.summaries import (  # noqa: E402
     build_project_model,
@@ -863,12 +863,9 @@ from repro.analysis.summaries import (  # noqa: E402
     resolve_taint,
 )
 from repro.analysis.taint import ORDER_KINDS  # noqa: E402
-from repro.engine.instrument import counters  # noqa: E402
 
 #: Shared facts key for the interprocedural payload.
 _XP_FACTS_KEY = "XP"
-#: Finalize-state key for the summary store (digests + summaries + deps).
-_XP_STATE_KEY = "XP"
 
 
 def _xp_payload(ctx: RuleContext) -> dict:
@@ -889,107 +886,20 @@ def _is_method_id(function_id: str) -> bool:
     return "." in function_id.partition("::")[2]
 
 
-def _prev_dep_closure(
-    changed: Set[str], prev_deps: Dict[str, List[str]]
-) -> Set[str]:
-    """Files that depended (last run) on any changed file, transitively.
-
-    The current call graph cannot see edges into functions a change
-    *removed*; the previous run's file-dependency map can.
-    """
-    reverse: Dict[str, List[str]] = {}
-    for path, deps in prev_deps.items():
-        for dep in deps:
-            reverse.setdefault(dep, []).append(path)
-    seen = set(changed)
-    queue = list(changed)
-    while queue:
-        for caller in reverse.get(queue.pop(), ()):
-            if caller not in seen:
-                seen.add(caller)
-                queue.append(caller)
-    return seen
-
-
-def _file_deps(model) -> Dict[str, List[str]]:
-    """rel path → sorted rel paths of files its functions call into."""
-    deps: Dict[str, Set[str]] = {}
-    for caller, callees in model.graph.edges.items():
-        caller_file = model.file_of.get(caller)
-        if caller_file is None:
-            continue
-        bucket = deps.setdefault(caller_file, set())
-        for callee in callees:
-            callee_file = model.file_of.get(callee)
-            if callee_file is not None and callee_file != caller_file:
-                bucket.add(callee_file)
-    return {path: sorted(files) for path, files in deps.items() if files}
-
-
-def _project_model(facts_by_file, context):
-    """Build (or reuse) the project model for one finalize pass.
-
-    With a :class:`~repro.analysis.base.FinalizeContext`, summaries are
-    incremental: files whose digests match the previous finalize state
-    reuse their resolved summaries, and only the changed files plus
-    their transitive callers re-resolve (counted in
-    ``lint.summary_files_recomputed``).
-    """
-    if context is not None and "xp_model" in context.shared:
-        return context.shared["xp_model"]
-
-    payloads = {
-        path: facts[0]
-        for path, facts in facts_by_file.items()
-        if facts and isinstance(facts[0], dict) and "symbols" in facts[0]
-    }
-
-    previous_summaries = None
-    changed = None
-    executor = None
-    if context is not None:
-        executor = context.executor
-        previous = context.previous.get(_XP_STATE_KEY) or {}
-        prev_digests = previous.get("digests") or {}
-        current_digests = {
-            path: context.digests.get(path, "") for path in payloads
-        }
-        if prev_digests and set(prev_digests) == set(current_digests):
-            changed_set = {
-                path
-                for path, digest in current_digests.items()
-                if digest != prev_digests.get(path) or not digest
-            }
-            changed_set = _prev_dep_closure(
-                changed_set, previous.get("deps") or {}
-            )
-            changed = sorted(changed_set)
-            previous_summaries = previous.get("summaries") or {}
-
+def _project_model(facts_by_file, shared):
+    """Build the project model once per finalize pass (memoized in
+    ``shared`` when the driver supplies it)."""
+    if shared is not None and "xp_model" in shared:
+        return shared["xp_model"]
     model = build_project_model(
-        payloads,
-        executor=executor,
-        previous_summaries=previous_summaries,
-        changed_files=changed,
-    )
-    counters.add("lint.summary_files_recomputed", len(model.dirty_files))
-    counters.add(
-        "lint.summary_functions_recomputed",
-        sum(
-            1
-            for path in model.file_of.values()
-            if path in model.dirty_files
-        ),
-    )
-    if context is not None:
-        context.new_state[_XP_STATE_KEY] = {
-            "digests": {
-                path: context.digests.get(path, "") for path in payloads
-            },
-            "summaries": model.summaries_by_file(),
-            "deps": _file_deps(model),
+        {
+            path: facts[0]
+            for path, facts in facts_by_file.items()
+            if facts and isinstance(facts[0], dict) and "symbols" in facts[0]
         }
-        context.shared["xp_model"] = model
+    )
+    if shared is not None:
+        shared["xp_model"] = model
     return model
 
 
@@ -1014,32 +924,17 @@ class DeterminismTaintRule(_InterprocRule):
         "render sinks through any call path; sorted() sanitizes order"
     )
 
-    def finalize(self, facts_by_file, context=None):
-        model = _project_model(facts_by_file, context)
-        previous = {}
-        if context is not None:
-            previous = (context.previous.get(self.rule_id) or {}).get(
-                "findings", {}
-            )
-        findings_by_file: Dict[str, List[dict]] = {}
-        for path in sorted(facts_by_file):
-            if path in model.dirty_files or path not in previous:
-                findings_by_file[path] = self._file_findings(path, model)
-            else:
-                findings_by_file[path] = previous[path]
-        if context is not None:
-            context.new_state[self.rule_id] = {
-                "findings": findings_by_file
-            }
+    def finalize(self, facts_by_file, shared=None):
+        model = _project_model(facts_by_file, shared)
         return [
-            Finding.from_dict(payload)
-            for path in sorted(findings_by_file)
-            for payload in findings_by_file[path]
+            finding
+            for path in sorted(facts_by_file)
+            for finding in self._file_findings(path, model)
         ]
 
-    def _file_findings(self, path: str, model) -> List[dict]:
+    def _file_findings(self, path: str, model) -> List[Finding]:
         env = model.env
-        out: List[dict] = []
+        out: List[Finding] = []
         seen: Set[Tuple[int, str]] = set()
 
         def emit(line: int, column: int, message: str) -> None:
@@ -1054,7 +949,7 @@ class DeterminismTaintRule(_InterprocRule):
                     rule_id=self.rule_id,
                     severity=self.severity,
                     message=message,
-                ).to_dict()
+                )
             )
 
         for function_id in sorted(
@@ -1122,8 +1017,8 @@ class SharedStateMutationRule(_InterprocRule):
         "module globals) except through the counters API"
     )
 
-    def finalize(self, facts_by_file, context=None):
-        model = _project_model(facts_by_file, context)
+    def finalize(self, facts_by_file, shared=None):
+        model = _project_model(facts_by_file, shared)
         env = model.env
         findings: List[Finding] = []
         for function_id in sorted(model.functions):
@@ -1212,8 +1107,8 @@ class MonoidProtocolRule(_InterprocRule):
         "methods, and paired codec functions agree on arity"
     )
 
-    def finalize(self, facts_by_file, context=None):
-        model = _project_model(facts_by_file, context)
+    def finalize(self, facts_by_file, shared=None):
+        model = _project_model(facts_by_file, shared)
         symbols = model.symbols
         findings: List[Finding] = []
         for module in sorted(symbols.modules):

@@ -1,17 +1,18 @@
 """Interprocedural summary resolution (the fixpoint half of R8/R9).
 
 :mod:`repro.analysis.taint` produces *symbolic* per-function facts in
-executor workers; this module resolves them project-wide, driver-side:
+executor workers; this module resolves them project-wide, in one
+in-process pass per finalize:
 
 1. assemble the :class:`~repro.analysis.callgraph.SymbolTable` and
    :class:`~repro.analysis.callgraph.CallGraph` from every file's
    facts;
 2. *pre-resolve* every call reference in the taint facts to a
-   qualified function id (so the fixpoint below is pure data-flow over
-   plain dicts — picklable, executor-shippable);
-3. run the summary fixpoint over Tarjan SCCs in callee-first level
-   order, fanning the independent SCCs of each level out over the
-   PR-1 executor backend;
+   qualified function id, so the fixpoint below is pure data-flow over
+   plain dicts;
+3. resolve summaries callee-first: walk the Tarjan SCCs in the order
+   :meth:`~repro.analysis.callgraph.CallGraph.sccs` emits them and run
+   each component's fixpoint against one live :class:`SummaryEnv`;
 4. answer rule queries: resolved sink taints and call-site parameter
    sinks for R8, transitive mutation summaries for R9.
 
@@ -29,18 +30,15 @@ Per-function resolved summaries:
 ``mut``
     parameters and module globals the function (transitively) mutates.
 
-Summaries are **keyed per file and invalidated transitively**: a warm
-run reuses the resolved summaries of every file outside
-``CallGraph.dependent_files(changed)`` and recomputes only the changed
-files and their transitive callers, which is what the driver counters
-``lint.summary_files_recomputed`` / ``lint.summary_functions_recomputed``
-measure.
+Nothing is carried between runs: a finalize pass resolves every
+summary from the current facts.  The driver replays a whole finalize
+phase from its cache only when no file changed at all.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import (
     CallGraph,
@@ -130,7 +128,7 @@ def _preresolve_function(
 
 
 class SummaryEnv:
-    """Resolved summaries, updated as the fixpoint ascends levels."""
+    """Resolved summaries, filled in callee-first as SCCs resolve."""
 
     __slots__ = ("ret", "rp", "ps", "mut", "attr")
 
@@ -161,27 +159,6 @@ class SummaryEnv:
         if mut and (mut.get("p") or mut.get("g")):
             out["mut"] = mut
         return out
-
-    def as_subset(self, function_ids: Iterable[str], attrs: Iterable[str]):
-        """A plain-dict slice shippable to an executor worker."""
-        ids = set(function_ids)
-        return {
-            "ret": {f: self.ret[f] for f in ids if f in self.ret},
-            "rp": {f: self.rp[f] for f in ids if f in self.rp},
-            "ps": {f: self.ps[f] for f in ids if f in self.ps},
-            "mut": {f: self.mut[f] for f in ids if f in self.mut},
-            "attr": {a: self.attr[a] for a in attrs if a in self.attr},
-        }
-
-    @classmethod
-    def from_dicts(cls, payload: dict) -> "SummaryEnv":
-        env = cls()
-        env.ret = payload.get("ret", {})
-        env.rp = payload.get("rp", {})
-        env.ps = payload.get("ps", {})
-        env.mut = payload.get("mut", {})
-        env.attr = payload.get("attr", {})
-        return env
 
 
 def _merge_param(params: Dict[int, bool], index: int, sanitized: bool):
@@ -327,50 +304,22 @@ def _resolve_one(function_id: str, facts: dict, env: SummaryEnv) -> dict:
     return summary
 
 
-def _resolve_component(payload: dict) -> Dict[str, dict]:
-    """Fixpoint one SCC given its callee environment (executor task)."""
-    env = SummaryEnv.from_dicts(payload["env"])
-    members: Dict[str, dict] = payload["functions"]
+def _resolve_component(
+    members: List[str], functions: Dict[str, dict], env: SummaryEnv
+) -> None:
+    """Fixpoint one SCC in place; every callee outside it is already
+    resolved in ``env``."""
     for function_id in members:
         env.load(function_id, {})
     for _ in range(max(2, 2 * len(members))):
         changed = False
-        for function_id in sorted(members):
-            summary = _resolve_one(function_id, members[function_id], env)
+        for function_id in members:
+            summary = _resolve_one(function_id, functions[function_id], env)
             if summary != env.summary_of(function_id):
                 env.load(function_id, summary)
                 changed = True
         if not changed:
             break
-    return {
-        function_id: env.summary_of(function_id) for function_id in members
-    }
-
-
-def _referenced_ids_and_attrs(
-    facts: dict, ids: Set[str], attrs: Set[str]
-) -> None:
-    """Collect every function id / attr key a facts dict can query."""
-
-    def walk(taint: Optional[dict]) -> None:
-        if not taint:
-            return
-        attrs.update(taint.get("t", ()))
-        for entry in taint.get("c", ()):
-            if "z" in entry:
-                walk(entry["z"])
-                continue
-            callee = entry.get("f")
-            if callee is not None:
-                ids.add(callee)
-            for arg in entry.get("a", {}).values():
-                walk(arg)
-
-    walk(facts.get("returns"))
-    for sink in facts.get("sinks", ()):
-        walk(sink.get("taint"))
-    for event in facts.get("calls", ()):
-        walk({"c": [event]})
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +337,6 @@ class ProjectModel:
         functions: Dict[str, dict],
         file_of: Dict[str, str],
         env: SummaryEnv,
-        dirty_files: Set[str],
     ):
         self.symbols = symbols
         self.graph = graph
@@ -397,32 +345,13 @@ class ProjectModel:
         #: function id → rel path.
         self.file_of = file_of
         self.env = env
-        #: Files whose summaries were recomputed this run.
-        self.dirty_files = dirty_files
-
-    def summaries_by_file(self) -> Dict[str, Dict[str, dict]]:
-        out: Dict[str, Dict[str, dict]] = {}
-        for function_id, path in self.file_of.items():
-            out.setdefault(path, {})[function_id] = self.env.summary_of(
-                function_id
-            )
-        return out
 
 
-def build_project_model(
-    facts_by_file: Dict[str, dict],
-    *,
-    executor=None,
-    previous_summaries: Optional[Dict[str, Dict[str, dict]]] = None,
-    changed_files: Optional[Iterable[str]] = None,
-) -> ProjectModel:
+def build_project_model(facts_by_file: Dict[str, dict]) -> ProjectModel:
     """Assemble symbols, the call graph, and resolved summaries.
 
     ``facts_by_file`` maps rel path → the per-file payload of
-    :func:`extract_interproc_facts`.  When ``previous_summaries`` (rel
-    path → function id → summary) and ``changed_files`` are given, only
-    the changed files and their transitive callers are re-resolved; the
-    rest load from the previous run.
+    :func:`extract_interproc_facts`.
     """
     symbol_facts = {
         path: payload["symbols"] for path, payload in facts_by_file.items()
@@ -461,14 +390,6 @@ def build_project_model(
 
     graph = build_call_graph(symbols, calls_by_function)
 
-    all_files = set(facts_by_file)
-    if previous_summaries is None or changed_files is None:
-        dirty_files = set(all_files)
-    else:
-        present_changed = {f for f in changed_files if f in all_files}
-        dirty_files = graph.dependent_files(present_changed) & all_files
-        dirty_files |= {f for f in all_files if f not in previous_summaries}
-
     env = SummaryEnv()
     # Attribute-write kinds resolve against an empty env first; a
     # second pass after the fixpoint would catch writes of call
@@ -478,66 +399,7 @@ def build_project_model(
         if kinds:
             env.attr[key] = sorted(kinds)
 
-    # Seed clean files from the previous run.
-    if previous_summaries:
-        for path in sorted(all_files - dirty_files):
-            for function_id, summary in previous_summaries.get(
-                path, {}
-            ).items():
-                if function_id in functions:
-                    env.load(function_id, summary)
+    for component in graph.sccs():
+        _resolve_component(component, functions, env)
 
-    dirty_ids = {
-        function_id
-        for function_id, path in file_of.items()
-        if path in dirty_files
-    }
-
-    for level in graph.scc_levels():
-        pending = [
-            component
-            for component in level
-            if any(member in dirty_ids for member in component)
-        ]
-        if not pending:
-            continue
-        payloads = []
-        for component in pending:
-            needed_ids: Set[str] = set()
-            needed_attrs: Set[str] = set()
-            for member in component:
-                _referenced_ids_and_attrs(
-                    functions.get(member, {}), needed_ids, needed_attrs
-                )
-            needed_ids -= set(component)
-            payloads.append(
-                {
-                    "functions": {
-                        member: functions.get(member, {})
-                        for member in component
-                    },
-                    "env": env.as_subset(needed_ids, needed_attrs),
-                }
-            )
-        if executor is not None and len(payloads) > 1:
-            resolved_batches = executor.map_list(_resolve_component, payloads)
-        else:
-            resolved_batches = [
-                _resolve_component(payload) for payload in payloads
-            ]
-        for batch in resolved_batches:
-            if batch is None:
-                continue  # a supervised backend skipped the component
-            for function_id, summary in sorted(batch.items()):
-                env.load(function_id, summary)
-
-    # Functions outside the graph's dirty cone but with no previous
-    # summary (e.g. first run with an empty previous map) resolve here.
-    for function_id in sorted(dirty_ids):
-        if function_id not in env.ret:
-            env.load(
-                function_id,
-                _resolve_one(function_id, functions[function_id], env),
-            )
-
-    return ProjectModel(symbols, graph, functions, file_of, env, dirty_files)
+    return ProjectModel(symbols, graph, functions, file_of, env)

@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from repro.datasets import dataset_names, make_dataset
 from repro.discovery import EntityStrategy, discoverer_names
+from repro.errors import ReproError
 from repro.io.jsonlines import (
     INGEST_MODES,
     INGEST_POLICIES,
@@ -406,7 +407,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     from ``--checkpoint`` with ``--resume``), then synthesis."""
     from repro.discovery import JxplainConfig, load_state, state_for_algorithm
     from repro.engine.sharding import commit_checkpoint, fold_files
-    from repro.errors import EmptyInputError, ReproError
+    from repro.errors import EmptyInputError
 
     overrides = _discover_overrides(args)
     problem = _discover_usage_error(args, overrides)
@@ -462,8 +463,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.schema, encoding="utf-8") as handle:
-        schema = from_json_schema(json.load(handle))
+    schema = _load_schema(args.schema)
     records = _read_input(args.input, args.on_bad_record)
     report = validate_records(schema, records)
     print(
@@ -482,8 +482,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    with open(args.schema, encoding="utf-8") as handle:
-        schema = from_json_schema(json.load(handle))
+    schema = _load_schema(args.schema)
     value = schema_entropy(
         schema, literal_collections=args.literal_collections
     )
@@ -491,9 +490,18 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
+class _CommandError(Exception):
+    """A failure :func:`main` reports as one ``error:`` line and rc 2."""
+
+
 def _load_schema(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return from_json_schema(json.load(handle))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return from_json_schema(json.load(handle))
+    except (
+        OSError, UnicodeDecodeError, json.JSONDecodeError, ReproError
+    ) as exc:
+        raise _CommandError(f"{path}: {exc}") from exc
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -638,6 +646,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``jxplain`` console script."""
     try:
         return _dispatch(_build_parser().parse_args(argv))
+    except _CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that exited early: not an
         # error from the user's point of view.

@@ -110,6 +110,22 @@ def _node_to_json(schema: Schema) -> Any:
     raise UnsupportedSchemaError(f"not a schema: {schema!r}")
 
 
+def _member(
+    body: dict, key: str, kind: type, default: Any, item: type = object
+) -> Any:
+    """``body[key]`` (or ``default``): a ``kind``, and when a list, one
+    of ``item`` values."""
+    value = body.get(key, default)
+    if not isinstance(value, kind) or (
+        isinstance(value, list)
+        and not all(isinstance(element, item) for element in value)
+    ):
+        raise UnsupportedSchemaError(
+            f"{key!r} must be {kind.__name__}, not {value!r}"
+        )
+    return value
+
+
 def from_json_schema(document: Any) -> Schema:
     """Parse a JSON Schema document produced by :func:`to_json_schema`.
 
@@ -124,10 +140,13 @@ def from_json_schema(document: Any) -> Schema:
         )
     body = {k: v for k, v in document.items() if k != "$schema"}
     if "anyOf" in body:
-        return union(*(from_json_schema(b) for b in body["anyOf"]))
+        return union(
+            *(from_json_schema(b) for b in _member(body, "anyOf", list, []))
+        )
     type_name = body.get("type")
-    if type_name in _NAME_TO_KIND:
+    if isinstance(type_name, str) and type_name in _NAME_TO_KIND:
         return PRIMITIVE_SCHEMAS[_NAME_TO_KIND[type_name]]
+    extension = _member(body, "x-repro", dict, {})
     if type_name == "object":
         extra = body.get("additionalProperties", True)
         # ``additionalProperties: false`` is ambiguous: it closes an
@@ -135,9 +154,9 @@ def from_json_schema(document: Any) -> Schema:
         # schema is NEVER (only the empty object) exports.  The
         # ``x-repro`` domain marker — written only for collections —
         # resolves it, so both forms round-trip exactly.
-        if extra is False and "domain" not in body.get("x-repro", {}):
-            properties = body.get("properties", {})
-            required_keys = set(body.get("required", ()))
+        if extra is False and "domain" not in extension:
+            properties = _member(body, "properties", dict, {})
+            required_keys = set(_member(body, "required", list, [], str))
             unknown = required_keys - set(properties)
             if unknown:
                 raise UnsupportedSchemaError(
@@ -154,21 +173,22 @@ def from_json_schema(document: Any) -> Schema:
                 if key not in required_keys
             }
             return ObjectTuple(required, optional)
-        domain = body.get("x-repro", {}).get("domain", ())
+        domain = _member(extension, "domain", list, [], str)
         return ObjectCollection(from_json_schema(extra), domain)
     if type_name == "array":
         if "prefixItems" in body:
             elements = tuple(
-                from_json_schema(value) for value in body["prefixItems"]
+                from_json_schema(value)
+                for value in _member(body, "prefixItems", list, [])
             )
-            min_length = body.get("minItems", len(elements))
+            min_length = _member(body, "minItems", int, len(elements))
             return ArrayTuple(elements, min_length)
         items = body.get("items")
         if items is None:
             raise UnsupportedSchemaError(
                 "array schema requires items or prefixItems"
             )
-        max_seen = body.get("x-repro", {}).get("maxLengthSeen", 0)
+        max_seen = _member(extension, "maxLengthSeen", int, 0)
         return ArrayCollection(from_json_schema(items), max_seen)
     raise UnsupportedSchemaError(
         f"unsupported JSON Schema fragment: {document!r}"

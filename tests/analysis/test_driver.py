@@ -42,6 +42,15 @@ def lint_tree(tree, **kwargs):
     return run_lint([str(tree / "pkg")], **kwargs)
 
 
+def _each_report(payload, damage):
+    """A cache payload with ``damage`` applied to every file report."""
+    files = {
+        path: {**entry, "report": damage(entry["report"])}
+        for path, entry in payload["files"].items()
+    }
+    return {**payload, "files": files}
+
+
 class TestDiscovery:
     def test_discovers_py_files_and_skips_excluded_dirs(self, tree):
         found = discover_files([str(tree / "pkg")])
@@ -106,6 +115,43 @@ class TestCache:
         cache.write_text("{ not json")
         result = lint_tree(tree, cache_path=str(cache))
         assert result.analyzed_count == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: [],
+            lambda payload: {**payload, "files": [1]},
+            lambda payload: _each_report(
+                payload,
+                lambda report: {
+                    **report,
+                    "findings": [
+                        {k: v for k, v in finding.items() if k != "file"}
+                        for finding in report["findings"]
+                    ],
+                },
+            ),
+            lambda payload: _each_report(payload, lambda report: 7),
+            lambda payload: {
+                **payload,
+                "finalize": {**payload["finalize"], "findings": [{}]},
+            },
+        ],
+        ids=[
+            "top-level-list",
+            "files-list",
+            "finding-without-file",
+            "report-not-object",
+            "finalize-finding-empty",
+        ],
+    )
+    def test_malformed_cache_is_a_miss(self, tree, tmp_path, damage):
+        cache = tmp_path / "cache.json"
+        lint_tree(tree, cache_path=str(cache))
+        cache.write_text(json.dumps(damage(json.loads(cache.read_text()))))
+        result = lint_tree(tree, cache_path=str(cache))
+        assert result.findings == lint_tree(tree, cache_path=None).findings
+        assert [f.rule_id for f in result.findings] == ["R3"]
 
     def test_rule_set_change_invalidates(self, tree, tmp_path):
         cache = str(tmp_path / "cache.json")

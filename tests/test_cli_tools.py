@@ -152,3 +152,52 @@ class TestDiscoverConfigFlags:
             assert errors == {
                 f"error: {algorithm} takes no configuration\n"
             }
+
+
+#: Schema documents that are not what ``discover --format json`` writes.
+MALFORMED_SCHEMAS = {
+    "not-json": b"not json",
+    "not-utf8": b"\xff\xfe{}",
+    "top-level-list": b"[]",
+    "empty-object": b"{}",
+    "anyOf-not-list": b'{"anyOf": 3}',
+    "type-number": b'{"type": 5}',
+    "type-list": b'{"type": ["string"]}',
+    "array-without-items": b'{"type": "array"}',
+    "prefixItems-not-list": b'{"type": "array", "prefixItems": {}}',
+    "properties-not-object": (
+        b'{"type": "object", "additionalProperties": false, '
+        b'"properties": []}'
+    ),
+    "required-without-property": (
+        b'{"type": "object", "additionalProperties": false, '
+        b'"required": ["a"]}'
+    ),
+}
+
+
+class TestMalformedSchemaDocuments:
+    """Every schema-reading command fails typed: rc 2, one line."""
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "entropy", "diff", "docs", "coref"]
+    )
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCHEMAS) + ["missing"])
+    def test_rc2_and_one_error_line(self, tmp_path, capsys, command, name):
+        schema = tmp_path / "schema.json"
+        if name != "missing":
+            schema.write_bytes(MALFORMED_SCHEMAS[name])
+        records = tmp_path / "records.jsonl"
+        write_jsonlines(records, [{"a": 1}])
+        argv = {
+            "validate": ["validate", str(schema), str(records)],
+            "entropy": ["entropy", str(schema)],
+            "diff": ["diff", str(schema), str(schema)],
+            "docs": ["docs", str(schema)],
+            "coref": ["coref", str(schema)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {schema}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
