@@ -36,6 +36,7 @@ length-prefixed UTF-8.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.discovery.config import EntityStrategy, FeatureMode, JxplainConfig
@@ -205,6 +206,11 @@ class _Reader:
     def exhausted(self) -> bool:
         return self._pos >= len(self._data)
 
+    @property
+    def offset(self) -> int:
+        """Byte offset of the next read."""
+        return self._pos
+
 
 # -- the JsonType pool --------------------------------------------------------
 #
@@ -348,17 +354,44 @@ class Encoder:
 
 
 class Decoder:
-    """Parses a payload header + type table and exposes the body."""
+    """Parses a payload header + type table and exposes the body.
 
-    def __init__(self, data: bytes, expect_kind: Optional[str] = None):
+    Construction only checks the argument; :meth:`read_header` parses.
+    Decode inside :meth:`boundary`, so a damaged payload fails as a
+    :class:`~repro.errors.StateCodecError` whatever a reader or a
+    constructor it feeds raises.
+    """
+
+    def __init__(self, data: bytes):
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise StateCodecError(
                 f"payload must be bytes, got {type(data).__name__}"
             )
-        data = bytes(data)
-        if data[:4] != MAGIC:
+        self.r = _Reader(bytes(data))
+        self.kind = ""
+        self.types: List[JsonType] = []
+
+    @contextmanager
+    def boundary(self):
+        """The decode boundary: any failure inside becomes a
+        :class:`~repro.errors.StateCodecError` naming the byte offset
+        the reader had reached."""
+        try:
+            yield self
+        except StateCodecError:
+            raise
+        except Exception as exc:
+            raise StateCodecError(
+                f"malformed payload at byte {self.r.offset}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    def read_header(self, expect_kind: Optional[str] = None) -> str:
+        """Parse magic, version, kind and type table; returns the kind."""
+        reader = self.r
+        if reader._data[:4] != MAGIC:
             raise StateCodecError("bad magic: not a discovery-state payload")
-        reader = _Reader(data, 4)
+        reader._take(4)
         version = reader.uvarint()
         if version != CODEC_VERSION:
             raise StateCodecError(
@@ -372,7 +405,7 @@ class Decoder:
                 f"got {self.kind!r}"
             )
         self.types = _read_type_table(reader)
-        self.r = reader
+        return self.kind
 
     def type_ref(self) -> JsonType:
         type_id = self.r.uvarint()
@@ -392,9 +425,11 @@ def _dumps(kind: str, write_fn: Callable, value) -> bytes:
 
 
 def _loads(kind: str, read_fn: Callable, data: bytes):
-    dec = Decoder(data, expect_kind=kind)
-    value = read_fn(dec)
-    dec.finish()
+    dec = Decoder(data)
+    with dec.boundary():
+        dec.read_header(expect_kind=kind)
+        value = read_fn(dec)
+        dec.finish()
     return value
 
 

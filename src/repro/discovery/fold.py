@@ -14,6 +14,8 @@ aggregation over a partitioned dataset.
   :class:`FoldNode` (the fold's element type);
 * :meth:`~DecidedFolder.combine` merges two fold nodes (associative
   and commutative — property-tested);
+* :meth:`~DecidedFolder.fold` folds a whole bag of types, lifting each
+  distinct (type, path) once;
 * :meth:`~DecidedFolder.schema` converts the final node to a
   :class:`~repro.schema.Schema`.
 
@@ -24,7 +26,7 @@ precomputed decisions, which the test suite verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.discovery.config import JxplainConfig
 from repro.discovery.stat_tree import CollectionDecisions
@@ -113,20 +115,62 @@ class DecidedFolder:
 
     def lift(self, tau: JsonType, path: Path = ROOT) -> FoldNode:
         """Turn one record type into a single-record fold node."""
+        return self._lift(tau, path, {}, {})
+
+    def fold(
+        self,
+        types: Iterable[JsonType],
+        features: Optional[Dict[tuple, frozenset]] = None,
+    ) -> FoldNode:
+        """Combine the lifts of ``types`` into one node.
+
+        Equal to folding ``combine(node, lift(tau))`` from an empty
+        node, but each distinct (type, path) is lifted once: lifts are
+        memoized for this call and shared by reference (fold nodes are
+        never mutated), and ``combine(x, x)`` is ``x``.  ``features``
+        maps ``(type, path)`` to object features already computed (by
+        :meth:`~repro.discovery.pipeline.TupleShapes.add_all`).
+        """
+        memo: Dict[tuple, FoldNode] = {}
+        if features is None:
+            features = {}
         node = FoldNode()
-        self._lift_into(node, tau, path)
+        for tau in types:
+            node = self.combine(node, self._lift(tau, ROOT, memo, features))
         return node
 
-    def _lift_into(self, node: FoldNode, tau: JsonType, path: Path) -> None:
+    def _lift(
+        self,
+        tau: JsonType,
+        path: Path,
+        memo: Dict[tuple, FoldNode],
+        features: Dict[tuple, frozenset],
+    ) -> FoldNode:
+        key = (tau, path)
+        node = memo.get(key)
+        if node is None:
+            node = memo[key] = FoldNode()
+            self._lift_into(node, tau, path, memo, features)
+        return node
+
+    def _lift_into(
+        self,
+        node: FoldNode,
+        tau: JsonType,
+        path: Path,
+        memo: Dict[tuple, FoldNode],
+        features: Dict[tuple, frozenset],
+    ) -> None:
         if isinstance(tau, PrimitiveType):
             node.primitive_kinds.add(tau.kind)
             return
         if isinstance(tau, ObjectType):
             if self._is_collection(path, Kind.OBJECT):
                 acc = ObjectCollAcc()
+                child_path = path + (STAR,)
                 for key, value in tau.items():
                     acc.domain.add(key)
-                    child = self.lift(value, path + (STAR,))
+                    child = self._lift(value, child_path, memo, features)
                     acc.value = (
                         child
                         if acc.value is None
@@ -134,17 +178,20 @@ class DecidedFolder:
                     )
                 node.object_collection = acc
                 return
-            entity = self._assign_object(tau, path)
+            entity = self._assign_object(tau, path, features)
             acc = ObjectEntityAcc(required=set(tau.keys()))
             for key, value in tau.items():
-                acc.fields[key] = self.lift(value, path + (key,))
+                acc.fields[key] = self._lift(
+                    value, path + (key,), memo, features
+                )
             node.object_entities[entity] = acc
             return
         if isinstance(tau, ArrayType):
             if self._is_collection(path, Kind.ARRAY):
                 acc = ArrayCollAcc(max_length=len(tau))
+                child_path = path + (STAR,)
                 for value in tau.elements:
-                    child = self.lift(value, path + (STAR,))
+                    child = self._lift(value, child_path, memo, features)
                     acc.element = (
                         child
                         if acc.element is None
@@ -155,7 +202,9 @@ class DecidedFolder:
             entity = self._assign_array(tau, path)
             acc = ArrayEntityAcc(min_length=len(tau))
             for position, value in enumerate(tau.elements):
-                acc.positions.append(self.lift(value, path + (position,)))
+                acc.positions.append(
+                    self._lift(value, path + (position,), memo, features)
+                )
             node.array_entities[entity] = acc
             return
         raise TypeError(f"not a JSON type: {tau!r}")
@@ -170,11 +219,19 @@ class DecidedFolder:
             return kind == Kind.ARRAY
         return designation is Designation.COLLECTION
 
-    def _assign_object(self, tau: ObjectType, path: Path) -> int:
+    def _assign_object(
+        self,
+        tau: ObjectType,
+        path: Path,
+        features: Dict[tuple, frozenset],
+    ) -> int:
         partitioner = self.object_partitioners.get(path)
         if partitioner is None:
             return 0
-        return partitioner.assign(self.extractor.features(tau, path))
+        object_features = features.get((tau, path))
+        if object_features is None:
+            object_features = self.extractor.features(tau, path)
+        return partitioner.assign(object_features)
 
     def _assign_array(self, tau: ArrayType, path: Path) -> int:
         partitioner = self.array_partitioners.get(path)
@@ -187,7 +244,10 @@ class DecidedFolder:
     # -- combine ----------------------------------------------------------------
 
     def combine(self, left: FoldNode, right: FoldNode) -> FoldNode:
-        """Merge two fold nodes (associative, commutative)."""
+        """Merge two fold nodes (associative, commutative, idempotent:
+        ``combine(x, x)`` is ``x``)."""
+        if left is right:
+            return left
         out = FoldNode()
         out.primitive_kinds = left.primitive_kinds | right.primitive_kinds
         out.object_entities = self._combine_object_entities(

@@ -53,6 +53,7 @@ from repro.jsontypes.types import (
     JsonType,
     JsonValue,
     ObjectType,
+    PrimitiveType,
     type_of,
 )
 from repro.schema.nodes import Schema
@@ -125,7 +126,27 @@ class TupleShapes:
         decisions: CollectionDecisions,
         extractor: FeatureExtractor,
     ) -> None:
-        self._walk(tau, ROOT, decisions, extractor)
+        self.add_all((tau,), decisions, extractor)
+
+    def add_all(
+        self,
+        types: Iterable[JsonType],
+        decisions: CollectionDecisions,
+        extractor: FeatureExtractor,
+        features: Optional[Dict[tuple, frozenset]] = None,
+    ) -> None:
+        """Fold a bag's types in, visiting each (type, path) once.
+
+        The accumulator only takes set unions, so a repeated (type,
+        path) adds nothing.  ``features``, when given, receives the
+        features of every tuple-designated object keyed by ``(type,
+        path)``, for pass ③ to reuse.
+        """
+        seen: Set[tuple] = set()
+        if features is None:
+            features = {}
+        for tau in types:
+            self._walk(tau, ROOT, decisions, extractor, seen, features)
 
     def _walk(
         self,
@@ -133,27 +154,52 @@ class TupleShapes:
         path: Path,
         decisions: CollectionDecisions,
         extractor: FeatureExtractor,
+        seen: Set[tuple],
+        features: Dict[tuple, frozenset],
     ) -> None:
+        if isinstance(tau, PrimitiveType):
+            return
+        key = (tau, path)
+        if key in seen:
+            return
+        seen.add(key)
         if isinstance(tau, ObjectType):
             designation = decisions.get((path, Kind.OBJECT))
             if designation is Designation.COLLECTION:
+                child_path = path + (STAR,)
                 for _, value in tau.items():
-                    self._walk(value, path + (STAR,), decisions, extractor)
+                    self._walk(
+                        value, child_path, decisions, extractor, seen, features
+                    )
             else:
+                object_features = features.get(key)
+                if object_features is None:
+                    object_features = features[key] = extractor.features(
+                        tau, path
+                    )
                 self.object_features.setdefault(path, set()).add(
-                    extractor.features(tau, path)
+                    object_features
                 )
-                for key, value in tau.items():
-                    self._walk(value, path + (key,), decisions, extractor)
+                for name, value in tau.items():
+                    self._walk(
+                        value, path + (name,), decisions, extractor, seen,
+                        features,
+                    )
         elif isinstance(tau, ArrayType):
             designation = decisions.get((path, Kind.ARRAY))
             if designation is Designation.TUPLE:
                 self.array_lengths.setdefault(path, set()).add(len(tau))
                 for index, value in enumerate(tau.elements):
-                    self._walk(value, path + (index,), decisions, extractor)
+                    self._walk(
+                        value, path + (index,), decisions, extractor, seen,
+                        features,
+                    )
             else:
+                child_path = path + (STAR,)
                 for value in tau.elements:
-                    self._walk(value, path + (STAR,), decisions, extractor)
+                    self._walk(
+                        value, child_path, decisions, extractor, seen, features
+                    )
 
     def merge(self, other: "TupleShapes") -> "TupleShapes":
         merged = TupleShapes()

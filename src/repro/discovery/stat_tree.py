@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.discovery.config import JxplainConfig
 from repro.heuristics.collection import (
     CollectionEvidence,
     Designation,
     decide_designation,
+    sum_counters,
 )
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, ROOT, STAR
@@ -102,25 +103,7 @@ class StatTree:
 
     def merge(self, other: "StatTree") -> "StatTree":
         """Combine two stat trees (associative, commutative)."""
-        merged = StatTree(similarity_depth=self.similarity_depth)
-        merged.primitive_kinds = self.primitive_kinds + other.primitive_kinds
-        merged.object_evidence = _merge_evidence(
-            self.object_evidence, other.object_evidence
-        )
-        merged.array_evidence = _merge_evidence(
-            self.array_evidence, other.array_evidence
-        )
-        steps = set(self.children) | set(other.children)
-        for step in steps:
-            mine = self.children.get(step)
-            theirs = other.children.get(step)
-            if mine is None:
-                merged.children[step] = theirs
-            elif theirs is None:
-                merged.children[step] = mine
-            else:
-                merged.children[step] = mine.merge(theirs)
-        return merged
+        return merge_stat_trees([self, other])
 
     @classmethod
     def from_types(
@@ -155,22 +138,50 @@ class StatTree:
         }
 
 
-def _merge_evidence(
-    first: Optional[CollectionEvidence],
-    second: Optional[CollectionEvidence],
-) -> Optional[CollectionEvidence]:
-    if first is None:
-        return second
-    if second is None:
-        return first
-    return first.merge(second)
+def merge_stat_trees(trees: Sequence[StatTree]) -> StatTree:
+    """Merge one or more stat trees in one pass.
 
-
-def _merge_all(trees: List[StatTree]) -> Optional[StatTree]:
-    merged: Optional[StatTree] = None
+    Equal to the left fold ``trees[0].merge(trees[1]).merge(...)``:
+    children are grouped by step across all inputs, a subtree only one
+    input has is shared rather than copied, and evidence is summed in
+    input order, so entropies and similarity checks see the fold's
+    order.  A single tree is returned as is.
+    """
+    if len(trees) == 1:
+        return trees[0]
+    merged = StatTree(similarity_depth=trees[0].similarity_depth)
+    merged.primitive_kinds = sum_counters(
+        [tree.primitive_kinds for tree in trees]
+    )
+    merged.object_evidence = _merge_evidence(
+        [tree.object_evidence for tree in trees]
+    )
+    merged.array_evidence = _merge_evidence(
+        [tree.array_evidence for tree in trees]
+    )
+    groups: Dict[object, List[StatTree]] = {}
     for tree in trees:
-        merged = tree if merged is None else merged.merge(tree)
+        for step, child in tree.children.items():
+            group = groups.get(step)
+            if group is None:
+                groups[step] = [child]
+            else:
+                group.append(child)
+    merged.children = {
+        step: merge_stat_trees(group) for step, group in groups.items()
+    }
     return merged
+
+
+def _merge_evidence(
+    evidences: List[Optional[CollectionEvidence]],
+) -> Optional[CollectionEvidence]:
+    present = [evidence for evidence in evidences if evidence is not None]
+    if not present:
+        return None
+    if len(present) == 1:
+        return present[0]
+    return CollectionEvidence.merge_all(present)
 
 
 def decide_collections(
@@ -224,7 +235,7 @@ def _decide_at(
             for index, child in array_children.items():
                 _decide_at(child, path + (index,), config, decisions)
     if star_children:
-        merged = _merge_all(star_children)
+        merged = merge_stat_trees(star_children)
         _decide_at(merged, path + (STAR,), config, decisions)
 
 

@@ -184,19 +184,22 @@ class DiscoveryState:
 
         On the base class this dispatches on the payload kind, so
         ``DiscoveryState.from_bytes`` decodes any algorithm's state;
-        on a subclass the payload must match that algorithm.
+        on a subclass the payload must match that algorithm.  Any
+        failure while decoding, whatever raised it, leaves as a
+        :class:`~repro.errors.StateCodecError`.
         """
-        if cls is DiscoveryState:
-            dec = Decoder(data)
-            target = _state_class_for_kind(dec.kind)
-            dec = Decoder(data, expect_kind=STATE_KIND_PREFIX + target.algorithm)
-        else:
-            dec = Decoder(data, expect_kind=STATE_KIND_PREFIX + cls.algorithm)
-            target = cls
-        state = target._read_body(dec)
-        if dec.r.boolean():
-            state.enrichment = codec.read_enrichment(dec)
-        dec.finish()
+        dec = Decoder(data)
+        with dec.boundary():
+            if cls is DiscoveryState:
+                dec.read_header()
+                target = _state_class_for_kind(dec.kind)
+            else:
+                dec.read_header(expect_kind=STATE_KIND_PREFIX + cls.algorithm)
+                target = cls
+            state = target._read_body(dec)
+            if dec.r.boolean():
+                state.enrichment = codec.read_enrichment(dec)
+            dec.finish()
         return state
 
     def _write_body(self, enc: Encoder) -> None:
@@ -398,7 +401,7 @@ class JxplainState(DiscoveryState):
         array_partitioners)`` — everything
         :class:`~repro.discovery.pipeline.PipelineResult` needs.
         """
-        from repro.discovery.fold import DecidedFolder, FoldNode
+        from repro.discovery.fold import DecidedFolder
         from repro.discovery.pipeline import (
             FeatureExtractor,
             TupleShapes,
@@ -410,9 +413,12 @@ class JxplainState(DiscoveryState):
             raise EmptyInputError("jxplain state: no records absorbed")
         decisions = decide_collections(self.tree, self.config)
         extractor = FeatureExtractor(decisions, self.config)
+        # Object features per (type, path), computed by pass ② and
+        # reused by pass ③; like both passes' memos, it lives for this
+        # synthesis only.
+        features: dict = {}
         shapes = TupleShapes()
-        for tau in self.bag.distinct():
-            shapes.add(tau, decisions, extractor)
+        shapes.add_all(self.bag.distinct(), decisions, extractor, features)
         object_partitioners, array_partitioners = build_partitioners(
             shapes, self.config
         )
@@ -423,9 +429,7 @@ class JxplainState(DiscoveryState):
             self.config,
             extractor=extractor,
         )
-        node = FoldNode()
-        for tau in self.bag.distinct():
-            node = folder.combine(node, folder.lift(tau))
+        node = folder.fold(self.bag.distinct(), features)
         return (
             folder.schema(node),
             decisions,

@@ -7,8 +7,10 @@ splits attribute-rich entities into several clusters while starving
 small ones, because every field is weighted equally (Example 9).
 
 Implementation: k-means++ initialisation and Lloyd iterations over a
-dense ``numpy`` matrix, fully deterministic under a seed.  The binary
-matrix is materialised through the bitset layer
+dense ``numpy`` matrix, fully deterministic under a seed.  ``numpy`` is
+imported inside the functions, so importing the package (and every CLI
+command that never clusters with k-means) does not pay for it.  The
+binary matrix is materialised through the bitset layer
 (:class:`~repro.entities.keyset.KeySetUniverse`): each key-set encodes
 to one integer mask whose bits are scattered into a row, and the
 universe's ``repr``-sorted key order *is* the vocabulary — identical
@@ -24,11 +26,12 @@ Unweighted calls are bit-for-bit the seed behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.entities.keyset import KeySetUniverse, iter_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KeySet = FrozenSet[str]
 
@@ -67,6 +70,8 @@ def encode_key_sets(
     Vocabulary order sorts by ``repr`` so heterogeneous feature keys
     (strings, path tuples) order deterministically.
     """
+    import numpy as np
+
     if not key_sets:
         return np.zeros((0, 0), dtype=np.float64), ()
     universe = KeySetUniverse.from_key_sets(key_sets)
@@ -90,6 +95,8 @@ def _kmeans_pp_init(
     draw proportionally to record multiplicity (times squared
     distance), matching seeding over the duplicated corpus.
     """
+    import numpy as np
+
     count = matrix.shape[0]
     if weights is None:
         first = int(rng.integers(count))
@@ -119,6 +126,8 @@ def kmeans_key_sets(
     weights: Optional[Sequence[int]] = None,
 ) -> KMeansResult:
     """Cluster key-sets into ``k`` groups with Lloyd's algorithm."""
+    import numpy as np
+
     if k <= 0:
         raise ValueError("k must be positive")
     if not key_sets:

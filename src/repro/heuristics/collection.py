@@ -32,7 +32,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.similarity import SimilarityAccumulator
@@ -149,14 +149,33 @@ class CollectionEvidence:
 
     def merge(self, other: "CollectionEvidence") -> "CollectionEvidence":
         """Combine evidence from two partitions (associative)."""
-        if self.kind != other.kind:
+        return CollectionEvidence.merge_all([self, other])
+
+    @classmethod
+    def merge_all(
+        cls, evidences: Sequence["CollectionEvidence"]
+    ) -> "CollectionEvidence":
+        """Combine two or more evidences in one pass.
+
+        Equal to the left fold of :meth:`merge`: counts are summed in
+        input order, so the counters' key order (and with it the
+        entropy's floating-point summation order) and the similarity
+        merge order match the fold's.
+        """
+        kind = evidences[0].kind
+        if any(evidence.kind != kind for evidence in evidences):
             raise ValueError("cannot merge evidence of different kinds")
-        merged = CollectionEvidence(self.kind)
-        merged.record_count = self.record_count + other.record_count
-        merged.key_counts = self.key_counts + other.key_counts
-        merged.length_counts = self.length_counts + other.length_counts
-        merged.mixed_kinds = self.mixed_kinds or other.mixed_kinds
-        merged.similarity = self.similarity.merge(other.similarity)
+        merged = cls(kind)
+        merged.record_count = sum(e.record_count for e in evidences)
+        merged.key_counts = sum_counters([e.key_counts for e in evidences])
+        merged.length_counts = sum_counters(
+            [e.length_counts for e in evidences]
+        )
+        merged.mixed_kinds = any(e.mixed_kinds for e in evidences)
+        similarity = evidences[0].similarity
+        for evidence in evidences[1:]:
+            similarity = similarity.merge(evidence.similarity)
+        merged.similarity = similarity
         return merged
 
     @property
@@ -178,6 +197,25 @@ class CollectionEvidence:
     @property
     def max_length(self) -> int:
         return max(self.length_counts, default=0)
+
+
+def sum_counters(counters: Sequence[Counter]) -> Counter:
+    """``counters[0] + counters[1] + ...`` without the intermediates.
+
+    Keys keep their first-appearance order and non-positive totals are
+    dropped, as :meth:`Counter.__add__` does.
+    """
+    present = [counter for counter in counters if counter]
+    if not present:
+        return Counter()
+    totals = Counter(present[0])
+    get = totals.get
+    for counter in present[1:]:
+        for key, count in counter.items():
+            totals[key] = get(key, 0) + count
+    if min(totals.values()) <= 0:
+        totals = +totals
+    return totals
 
 
 def decide_designation(

@@ -1,11 +1,13 @@
 """Tests for the jxplain command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-import os
-
+import repro
 from repro.cli import main
 from repro.discovery import discoverer_names, state_for_algorithm
 from repro.io.jsonlines import load_jsonlines, write_jsonlines
@@ -176,6 +178,23 @@ class TestOtherCommands:
         assert "github" in capsys.readouterr().out
         assert main(["algorithms"]) == 0
         assert "bimax-merge" in capsys.readouterr().out
+
+    def test_import_leaves_numpy_unloaded(self):
+        """Only the k-means entity strategy needs numpy; the CLI must
+        not pay for importing it at start-up."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        probe = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro.cli; print('numpy' in sys.modules)",
+            ],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout.strip() == "False"
 
 
 class TestDiscoverSharded:
