@@ -1,4 +1,4 @@
-"""Entity-discovery bench: frozenset vs bitset vs bitset+parallel.
+"""Entity-discovery bench: frozenset oracle vs bitset vs bitset+parallel.
 
 Times the full Section 6 entity stage — Bimax-Naive, GreedyMerge to
 fixpoint, partitioner construction, and record→entity assignment — on
@@ -14,9 +14,10 @@ Each corpus spans several tuple-typed paths; every path's bag clusters
 independently, which is exactly the fan-out the pipeline's pass ②
 exploits.  Three configurations run over the same corpora:
 
-* ``frozenset``       — the seed representation, serial;
-* ``bitset``          — interned integer masks, serial;
-* ``bitset+parallel`` — masks, paths fanned out on a process pool.
+* ``frozenset``       — the set-algebra reference implementation kept
+  as a test oracle (``tests/entities/frozenset_reference.py``), serial;
+* ``bitset``          — the product: interned integer masks, serial;
+* ``bitset+parallel`` — the product, paths fanned out on a process pool.
 
 Clusters must be byte-identical across all three (same maximals, same
 members, same emission order, same record assignments); the run fails
@@ -42,12 +43,8 @@ from pathlib import Path
 from benchmarks.conftest import emit
 from repro.engine import resolve_executor
 from repro.engine.instrument import counters, reset_perf_counters
-from repro.entities import (
-    EntityPartitioner,
-    bimax_merge,
-    entity_representation,
-    set_entity_representation,
-)
+from repro.entities import EntityPartitioner, bimax_merge
+from tests.entities import frozenset_reference
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -115,14 +112,12 @@ def synthesize_corpus(name: str, records_per_path: int) -> list:
     ]
 
 
-def discover_path(task):
+def _discover(task, merge, partitioner_class):
     """The entity stage for one path: cluster, build the partitioner,
-    assign every record.  Module-level and picklable for the process
-    backend; worker processes start on the default (bitset)
-    representation, which is the mode that ships them work."""
+    assign every record."""
     label, key_sets = task
-    clusters = bimax_merge(key_sets)
-    partitioner = EntityPartitioner(clusters)
+    clusters = merge(key_sets)
+    partitioner = partitioner_class(clusters)
     labels = partitioner.partition(range(len(key_sets)), key_sets)
     return (
         label,
@@ -134,8 +129,19 @@ def discover_path(task):
     )
 
 
-def _run_serial(corpus):
-    return [discover_path(task) for task in corpus]
+def discover_path(task):
+    """The product's entity stage for one path.  Module-level and
+    picklable for the process backend."""
+    return _discover(task, bimax_merge, EntityPartitioner)
+
+
+def discover_path_reference(task):
+    """The frozenset oracle's entity stage for one path."""
+    return _discover(
+        task,
+        frozenset_reference.bimax_merge,
+        frozenset_reference.ReferencePartitioner,
+    )
 
 
 def _run_parallel(corpus, executor):
@@ -151,29 +157,26 @@ def _bench_corpus(name: str, records_per_path: int) -> dict:
     timings = {}
     counter_snapshots = {}
 
-    previous = entity_representation()
+    for mode, discover in (
+        ("frozenset", discover_path_reference),
+        ("bitset", discover_path),
+    ):
+        reset_perf_counters()
+        start = time.perf_counter()
+        results[mode] = [discover(task) for task in corpus]
+        timings[mode] = time.perf_counter() - start
+        counter_snapshots[mode] = {
+            key: value
+            for key, value in sorted(counters.snapshot().items())
+            if key.startswith("entities.")
+        }
+    executor = resolve_executor(PARALLEL_SPEC)
     try:
-        for mode in ("frozenset", "bitset"):
-            set_entity_representation(mode)
-            reset_perf_counters()
-            start = time.perf_counter()
-            results[mode] = _run_serial(corpus)
-            timings[mode] = time.perf_counter() - start
-            counter_snapshots[mode] = {
-                key: value
-                for key, value in sorted(counters.snapshot().items())
-                if key.startswith("entities.")
-            }
-        set_entity_representation("bitset")
-        executor = resolve_executor(PARALLEL_SPEC)
-        try:
-            start = time.perf_counter()
-            results["bitset+parallel"] = _run_parallel(corpus, executor)
-            timings["bitset+parallel"] = time.perf_counter() - start
-        finally:
-            executor.close()
+        start = time.perf_counter()
+        results["bitset+parallel"] = _run_parallel(corpus, executor)
+        timings["bitset+parallel"] = time.perf_counter() - start
     finally:
-        set_entity_representation(previous)
+        executor.close()
 
     reference = results["frozenset"]
     for mode, outcome in results.items():

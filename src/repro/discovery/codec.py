@@ -2,10 +2,12 @@
 
 Every constituent of a :class:`~repro.discovery.state.DiscoveryState`
 — counted bags, :class:`~repro.jsontypes.types.JsonType`\\ s, schemas,
-stat trees, tuple shapes, fold nodes, collection decisions, entity
-clusters and key-set universes — has a codec here, so partial states
-can cross the executor boundary (and checkpoint files) in a compact
-wire form instead of as pickled live objects.
+stat trees, tuple shapes, fold nodes, configs and enrichment sketches —
+has a codec here (as do tagged-union decisions), so partial states can
+cross the executor boundary (and checkpoint files) in a compact wire
+form instead of as pickled live objects.  Entity clusters are never
+part of a state (they are recomputed from the bags at synthesis), so
+they have no codec.
 
 Design:
 
@@ -23,10 +25,10 @@ Design:
 * Encoding is **deterministic**: unordered containers (sets, hash
   dicts) are written in a canonical sort order, while containers whose
   iteration order is semantic (a counted bag's first-occurrence order,
-  a union's branch order, a cluster's member order) are written in
-  that order.  Equal states therefore produce equal bytes, which is
-  what lets state equality be byte equality and lets the chaos tests
-  assert byte-identical schemas across resume boundaries.
+  a union's branch order) are written in that order.  Equal states
+  therefore produce equal bytes, which is what lets state equality be
+  byte equality and lets the chaos tests assert byte-identical schemas
+  across resume boundaries.
 
 Integers use LEB128 (``uvarint``; zig-zag ``svarint`` where signs can
 occur), floats use little-endian IEEE-754 doubles, and strings are
@@ -60,11 +62,9 @@ from repro.discovery.sketches import (
     scalar_from_key,
     scalar_key,
 )
-from repro.discovery.stat_tree import CollectionDecisions, StatTree
-from repro.entities.bimax import EntityCluster
-from repro.entities.keyset import KeySetUniverse
+from repro.discovery.stat_tree import StatTree
 from repro.errors import StateCodecError
-from repro.heuristics.collection import CollectionEvidence, Designation
+from repro.heuristics.collection import CollectionEvidence
 from repro.jsontypes.bag import CountedBag, ListBag, TypeBag
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, STAR
@@ -107,10 +107,6 @@ _KIND_ORDER: Tuple[Kind, ...] = (
     Kind.ARRAY,
 )
 _KIND_TAG: Dict[Kind, int] = {kind: tag for tag, kind in enumerate(_KIND_ORDER)}
-
-_DESIGNATION_ORDER = (Designation.TUPLE, Designation.COLLECTION)
-_DESIGNATION_TAG = {d: tag for tag, d in enumerate(_DESIGNATION_ORDER)}
-
 
 # -- primitive writer / reader ------------------------------------------------
 
@@ -834,91 +830,6 @@ def read_fold_node(dec: Decoder) -> FoldNode:
     return node
 
 
-# -- collection decisions -----------------------------------------------------
-
-
-def write_decisions(enc: Encoder, decisions: CollectionDecisions) -> None:
-    def write_entry(e: Encoder, entry) -> None:
-        (path, kind), designation = entry
-        write_path(e, path)
-        _write_kind(e, kind)
-        e.w.uvarint(_DESIGNATION_TAG[designation])
-
-    enc.sorted_blobs(decisions.items(), write_entry)
-
-
-def read_decisions(dec: Decoder) -> CollectionDecisions:
-    decisions: CollectionDecisions = {}
-    for _ in range(dec.r.uvarint()):
-        path = read_path(dec)
-        kind = _read_kind(dec)
-        tag = dec.r.uvarint()
-        if tag >= len(_DESIGNATION_ORDER):
-            raise StateCodecError(f"unknown designation tag {tag}")
-        decisions[(path, kind)] = _DESIGNATION_ORDER[tag]
-    return decisions
-
-
-# -- entity clusters / universes / partitioners -------------------------------
-
-
-def write_universe(enc: Encoder, universe: KeySetUniverse) -> None:
-    # Keys are already repr-sorted canonically by construction.
-    enc.w.uvarint(len(universe.keys))
-    for key in universe.keys:
-        _write_feature(enc, key)
-
-
-def read_universe(dec: Decoder) -> KeySetUniverse:
-    return KeySetUniverse(
-        _read_feature(dec) for _ in range(dec.r.uvarint())
-    )
-
-
-def write_cluster(enc: Encoder, cluster: EntityCluster) -> None:
-    _write_key_set(enc, cluster.maximal)
-    # Member order is semantic: the partitioner's member index keeps
-    # the first cluster claiming each member.
-    enc.w.uvarint(len(cluster.members))
-    for member in cluster.members:
-        _write_key_set(enc, member)
-    enc.w.boolean(cluster.synthesized)
-    enc.w.boolean(cluster.member_counts is not None)
-    if cluster.member_counts is not None:
-        enc.w.uvarint(len(cluster.member_counts))
-        for count in cluster.member_counts:
-            enc.w.uvarint(count)
-
-
-def read_cluster(dec: Decoder) -> EntityCluster:
-    maximal = _read_key_set(dec)
-    members = [_read_key_set(dec) for _ in range(dec.r.uvarint())]
-    synthesized = dec.r.boolean()
-    member_counts = None
-    if dec.r.boolean():
-        member_counts = [dec.r.uvarint() for _ in range(dec.r.uvarint())]
-    return EntityCluster(
-        maximal=maximal,
-        members=members,
-        synthesized=synthesized,
-        member_counts=member_counts,
-    )
-
-
-def write_partitioner(enc: Encoder, partitioner) -> None:
-    clusters = partitioner.clusters
-    enc.w.uvarint(len(clusters))
-    for cluster in clusters:
-        write_cluster(enc, cluster)
-
-
-def read_partitioner(dec: Decoder):
-    from repro.entities.partitioner import EntityPartitioner
-
-    clusters = [read_cluster(dec) for _ in range(dec.r.uvarint())]
-    return EntityPartitioner(clusters)
-
-
 # -- configuration ------------------------------------------------------------
 
 
@@ -1169,10 +1080,29 @@ def write_enrichment(enc: Encoder, state: EnrichmentState) -> None:
 
 def read_enrichment(dec: Decoder) -> EnrichmentState:
     state = EnrichmentState(_read_options(dec))
+    options = state.options
+    # Every bundle's geometry must be the state's own: absorbing costs
+    # ``bloom_hashes`` probes per value, so a forged bundle would make
+    # every later absorb unbounded.
+    expected = (
+        options.bloom_bits, options.bloom_hashes, options.hll_precision
+    )
     state.record_count = dec.r.uvarint()
     for _ in range(dec.r.uvarint()):
         path = read_path(dec)
-        state.paths[path] = _read_path_sketches(dec)
+        bundle = _read_path_sketches(dec)
+        geometry = (
+            bundle.members.size,
+            bundle.members.hashes,
+            bundle.cardinality.precision,
+        )
+        if geometry != expected:
+            raise StateCodecError(
+                f"path-sketches geometry {geometry} does not match the "
+                "state's (bloom_bits, bloom_hashes, hll_precision) "
+                f"{expected}"
+            )
+        state.paths[path] = bundle
     state.discriminants.records = dec.r.uvarint()
     for _ in range(dec.r.uvarint()):
         name = dec.r.string()
@@ -1243,14 +1173,6 @@ def loads_schema(data: bytes) -> Schema:
     return _loads("schema", read_schema, data)
 
 
-def dumps_bag(bag: TypeBag) -> bytes:
-    return _dumps("bag", write_bag, bag)
-
-
-def loads_bag(data: bytes) -> TypeBag:
-    return _loads("bag", read_bag, data)
-
-
 def dumps_stat_tree(tree: StatTree) -> bytes:
     return _dumps("stat-tree", write_stat_tree, tree)
 
@@ -1273,38 +1195,6 @@ def dumps_fold_node(node: FoldNode) -> bytes:
 
 def loads_fold_node(data: bytes) -> FoldNode:
     return _loads("fold-node", read_fold_node, data)
-
-
-def dumps_decisions(decisions: CollectionDecisions) -> bytes:
-    return _dumps("decisions", write_decisions, decisions)
-
-
-def loads_decisions(data: bytes) -> CollectionDecisions:
-    return _loads("decisions", read_decisions, data)
-
-
-def dumps_universe(universe: KeySetUniverse) -> bytes:
-    return _dumps("universe", write_universe, universe)
-
-
-def loads_universe(data: bytes) -> KeySetUniverse:
-    return _loads("universe", read_universe, data)
-
-
-def dumps_partitioner(partitioner) -> bytes:
-    return _dumps("partitioner", write_partitioner, partitioner)
-
-
-def loads_partitioner(data: bytes):
-    return _loads("partitioner", read_partitioner, data)
-
-
-def dumps_config(config: JxplainConfig) -> bytes:
-    return _dumps("config", write_config, config)
-
-
-def loads_config(data: bytes) -> JxplainConfig:
-    return _loads("config", read_config, data)
 
 
 def dumps_sketch(sketch) -> bytes:

@@ -66,6 +66,7 @@ __all__ = [
     "EnrichmentState",
     "HLLCardinalitySketch",
     "KeyEvidence",
+    "MAX_BLOOM_BITS",
     "MinMaxSketch",
     "PathSketches",
     "SKETCH_CLASSES",
@@ -86,6 +87,11 @@ DEFAULT_BLOOM_BITS = 1024
 
 #: Default number of Bloom hash functions.
 DEFAULT_BLOOM_HASHES = 4
+
+#: Widest Bloom filter the options accept (8 KiB per path, 64x the
+#: default).  With ``hashes <= bits`` it bounds the per-value absorb
+#: cost of any state, including one decoded from a forged checkpoint.
+MAX_BLOOM_BITS = 1 << 16
 
 #: Default HyperLogLog precision (2**8 = 256 one-byte registers).
 DEFAULT_HLL_PRECISION = 8
@@ -285,8 +291,10 @@ class BloomMembershipSketch(Sketch):
             raise ValueError(
                 f"bloom size must be a positive multiple of 8, got {size}"
             )
-        if hashes < 1:
-            raise ValueError(f"bloom hashes must be >= 1, got {hashes}")
+        if not 1 <= hashes <= size:
+            raise ValueError(
+                f"bloom hashes must be in [1, size], got {hashes}"
+            )
         self.size = size
         self.hashes = hashes
         self.bits = 0
@@ -542,9 +550,15 @@ class EnrichmentOptions:
                 "bloom_bits must be a positive multiple of 8, got "
                 f"{self.bloom_bits}"
             )
-        if self.bloom_hashes < 1:
+        if self.bloom_bits > MAX_BLOOM_BITS:
             raise ValueError(
-                f"bloom_hashes must be >= 1, got {self.bloom_hashes}"
+                f"bloom_bits must be <= {MAX_BLOOM_BITS}, got "
+                f"{self.bloom_bits}"
+            )
+        if not 1 <= self.bloom_hashes <= self.bloom_bits:
+            raise ValueError(
+                "bloom_hashes must be in [1, bloom_bits], got "
+                f"{self.bloom_hashes}"
             )
         if not 4 <= self.hll_precision <= 16:
             raise ValueError(

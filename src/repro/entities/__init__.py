@@ -6,9 +6,8 @@ k-means baseline of Section 7.3, the feature-vector preprocessing of
 Section 6.4, and the deterministic record→entity partitioner.
 
 All of the subset/overlap-heavy algorithms run internally on interned
-integer bitmasks (:mod:`repro.entities.keyset`) by default;
-:func:`set_entity_representation` switches back to the seed's
-frozenset implementations, and the two are cluster-identical.
+integer bitmasks (:mod:`repro.entities.keyset`) and speak frozensets at
+their API.
 """
 
 from repro.entities.bimax import (
@@ -16,15 +15,9 @@ from repro.entities.bimax import (
     KeySet,
     bimax_naive,
     bimax_order,
-    block_boundaries,
     distinct_key_sets,
 )
-from repro.entities.keyset import (
-    KeySetUniverse,
-    entity_representation,
-    iter_bits,
-    set_entity_representation,
-)
+from repro.entities.keyset import KeySetUniverse, iter_bits
 from repro.entities.features import (
     FeatureMemoryProfile,
     FeatureVector,
@@ -46,12 +39,7 @@ from repro.entities.kmeans import (
     kmeans_key_sets,
 )
 from repro.entities.partitioner import EntityPartitioner
-from repro.entities.set_cover import (
-    cover_exists,
-    greedy_set_cover,
-    greedy_set_cover_masks,
-    minimal_cover_size,
-)
+from repro.entities.set_cover import greedy_set_cover_masks
 
 __all__ = [
     "EntityCluster",
@@ -65,22 +53,16 @@ __all__ = [
     "bimax_merge",
     "bimax_naive",
     "bimax_order",
-    "block_boundaries",
-    "cover_exists",
     "distinct_key_sets",
     "encode_key_sets",
-    "entity_representation",
     "extract_feature_vectors",
     "feature_memory_profile",
     "greedy_merge",
     "merge_to_fixpoint",
-    "greedy_set_cover",
     "greedy_set_cover_masks",
     "iter_bits",
     "kmeans_clusters",
     "kmeans_key_sets",
-    "minimal_cover_size",
-    "set_entity_representation",
     "top_level_key_set",
     "type_paths",
 ]

@@ -11,17 +11,15 @@ illustrated by the paper's Example 9.
 ``K_sub`` block — the seed set and all of its subsets — as one entity
 cluster.
 
-Both run internally on either frozensets or interned integer bitmasks
-(:mod:`repro.entities.keyset`); the bitset path turns every
-subset/overlap test of the O(n²) partition loop into a couple of
-machine-word operations while emitting byte-identical clusters.  The
-public API speaks frozensets regardless of representation.
+Both run internally on interned integer bitmasks
+(:mod:`repro.entities.keyset`), which turns every subset/overlap test
+of the O(n²) partition loop into a couple of machine-word operations.
+The public API speaks frozensets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import (
     FrozenSet,
     Iterable,
@@ -32,7 +30,7 @@ from typing import (
 )
 
 from repro.engine.instrument import counters
-from repro.entities.keyset import KeySetUniverse, bitset_enabled, encode_all
+from repro.entities.keyset import KeySetUniverse, encode_all
 
 #: A feature set: record keys (strings) or record paths (tuples),
 #: depending on the configured feature mode.  Any hashable works.
@@ -80,31 +78,14 @@ class EntityCluster:
         return key_set <= self.maximal
 
 
-@lru_cache(maxsize=65536)
-def _repr_sort_key(key_set: KeySet) -> Tuple[str, ...]:
-    """``tuple(sorted(map(repr, ks)))``, computed once per key-set.
-
-    Keys are sorted by ``repr`` because feature vectors may mix key
-    types (strings, array positions, path tuples), which are not
-    mutually ordered.  The cache matters because Bimax re-sorts the
-    same sets on every :func:`~repro.entities.greedy_merge.merge_to_fixpoint`
-    round.
-    """
-    return tuple(sorted(map(repr, key_set)))
-
-
-def _sorted_by_size(key_sets: Iterable[KeySet]) -> List[KeySet]:
-    """Descending size; ties broken by the precomputed repr key for
-    determinism."""
-    return sorted(key_sets, key=lambda ks: (-len(ks), _repr_sort_key(ks)))
-
-
 def _sorted_masks(masks: Sequence[int], universe: KeySetUniverse) -> List[int]:
-    """The mask counterpart of :func:`_sorted_by_size`.
+    """Descending size; ties broken by the repr-sorted keys.
 
-    Bit positions are repr-sorted, so a mask's bit-order repr tuple is
-    exactly the frozenset tie-break key — the two sorts agree on every
-    input, including the stability of equal keys.
+    Keys are compared by ``repr`` because feature vectors may mix key
+    types (strings, array positions, path tuples), which are not
+    mutually ordered.  Bit positions are repr-sorted, so a mask's
+    bit-order repr tuple is exactly ``tuple(sorted(map(repr, ks)))``
+    and the order is a pure function of the key-sets.
     """
     keyed = {mask: (-mask.bit_count(), universe.sort_key(mask)) for mask in masks}
     return sorted(masks, key=keyed.__getitem__)
@@ -147,39 +128,11 @@ def distinct_key_sets(
     return unique, weights
 
 
-def _distinct(key_sets: Iterable[KeySet]) -> List[KeySet]:
-    unique, _ = distinct_key_sets(key_sets)
-    return unique
-
-
 # -- Algorithm 6: the reordering -------------------------------------------
 
 
-def _bimax_order_sets(ordering: List[KeySet]) -> List[KeySet]:
-    """The seed frozenset implementation of the Bimax reorder loop."""
-    subset_tests = 0
-    index = 0
-    while index < len(ordering):
-        k_max = ordering[index]
-        subsets: List[KeySet] = []
-        overlap: List[KeySet] = []
-        disjoint: List[KeySet] = []
-        for key_set in ordering[index:]:
-            subset_tests += 1
-            if key_set <= k_max:
-                subsets.append(key_set)
-            elif not (key_set & k_max):
-                disjoint.append(key_set)
-            else:
-                overlap.append(key_set)
-        ordering[index:] = subsets + overlap + disjoint
-        index += len(subsets)
-    counters.add("entities.subset_tests", subset_tests)
-    return ordering
-
-
 def _bimax_order_masks(ordering: List[int]) -> List[int]:
-    """The bitset implementation: the same loop over int masks."""
+    """The reorder loop over int masks, already size-sorted."""
     subset_tests = 0
     index = 0
     while index < len(ordering):
@@ -209,81 +162,12 @@ def bimax_order(key_sets: Sequence[KeySet]) -> List[KeySet]:
     the remainder as (subsets of ``k_max``) < (overlapping) <
     (disjoint), then advances past the subset block.
     """
-    if not bitset_enabled():
-        return _bimax_order_sets(_sorted_by_size(key_sets))
     universe = KeySetUniverse.from_key_sets(key_sets)
     masks = _sorted_masks(encode_all(universe, key_sets), universe)
     return [universe.decode(mask) for mask in _bimax_order_masks(masks)]
 
 
 # -- Algorithm 7: the naive clustering -------------------------------------
-
-
-def _bimax_naive_sets(
-    distinct: List[KeySet], weights: List[int]
-) -> List[Tuple[KeySet, List[KeySet], List[int]]]:
-    count_of = dict(zip(distinct, weights))
-    ordering = _bimax_order_sets(_sorted_by_size(distinct))
-    blocks: List[Tuple[KeySet, List[KeySet], List[int]]] = []
-    subset_tests = 0
-    index = 0
-    while index < len(ordering):
-        k_max = ordering[index]
-        subsets: List[KeySet] = []
-        overlap: List[KeySet] = []
-        disjoint: List[KeySet] = []
-        for key_set in ordering[index:]:
-            if key_set <= k_max:
-                subsets.append(key_set)
-            elif not (key_set & k_max):
-                disjoint.append(key_set)
-            else:
-                overlap.append(key_set)
-        subset_tests += len(ordering) - index
-        ordering[index:] = subsets + overlap + disjoint
-        blocks.append(
-            (k_max, list(subsets), [count_of[ks] for ks in subsets])
-        )
-        index += len(subsets)
-    counters.add("entities.subset_tests", subset_tests)
-    return blocks
-
-
-def _bimax_naive_masks(
-    distinct: List[KeySet], weights: List[int]
-) -> List[Tuple[KeySet, List[KeySet], List[int]]]:
-    universe = KeySetUniverse.from_key_sets(distinct)
-    masks = encode_all(universe, distinct)
-    count_of = dict(zip(masks, weights))
-    ordering = _bimax_order_masks(_sorted_masks(masks, universe))
-    blocks: List[Tuple[KeySet, List[KeySet], List[int]]] = []
-    subset_tests = 0
-    index = 0
-    while index < len(ordering):
-        k_max = ordering[index]
-        subsets: List[int] = []
-        overlap: List[int] = []
-        disjoint: List[int] = []
-        for mask in ordering[index:]:
-            inter = mask & k_max
-            if inter == mask:
-                subsets.append(mask)
-            elif not inter:
-                disjoint.append(mask)
-            else:
-                overlap.append(mask)
-        subset_tests += len(ordering) - index
-        ordering[index:] = subsets + overlap + disjoint
-        blocks.append(
-            (
-                universe.decode(k_max),
-                [universe.decode(m) for m in subsets],
-                [count_of[m] for m in subsets],
-            )
-        )
-        index += len(subsets)
-    counters.add("entities.subset_tests", subset_tests)
-    return blocks
 
 
 def bimax_naive(
@@ -301,32 +185,40 @@ def bimax_naive(
     ``member_counts``.
     """
     distinct, weights = distinct_key_sets(key_sets, counts)
-    if bitset_enabled():
-        blocks = _bimax_naive_masks(distinct, weights)
-    else:
-        blocks = _bimax_naive_sets(distinct, weights)
-    counters.add("entities.clusters_emitted", len(blocks))
+    universe = KeySetUniverse.from_key_sets(distinct)
+    masks = encode_all(universe, distinct)
+    count_of = dict(zip(masks, weights))
+    ordering = _bimax_order_masks(_sorted_masks(masks, universe))
     keep_counts = counts is not None
-    return [
-        EntityCluster(
-            maximal=maximal,
-            members=members,
-            member_counts=list(member_counts) if keep_counts else None,
+    clusters: List[EntityCluster] = []
+    subset_tests = 0
+    index = 0
+    while index < len(ordering):
+        k_max = ordering[index]
+        subsets: List[int] = []
+        overlap: List[int] = []
+        disjoint: List[int] = []
+        for mask in ordering[index:]:
+            inter = mask & k_max
+            if inter == mask:
+                subsets.append(mask)
+            elif not inter:
+                disjoint.append(mask)
+            else:
+                overlap.append(mask)
+        subset_tests += len(ordering) - index
+        ordering[index:] = subsets + overlap + disjoint
+        clusters.append(
+            EntityCluster(
+                maximal=universe.decode(k_max),
+                members=[universe.decode(m) for m in subsets],
+                member_counts=(
+                    [count_of[m] for m in subsets] if keep_counts else None
+                ),
+            )
         )
-        for maximal, members, member_counts in blocks
-    ]
+        index += len(subsets)
+    counters.add("entities.subset_tests", subset_tests)
+    counters.add("entities.clusters_emitted", len(clusters))
+    return clusters
 
-
-def block_boundaries(key_sets: Sequence[KeySet]) -> List[Tuple[int, int]]:
-    """The ``(start, end)`` spans of each subset block after ordering.
-
-    A convenience for tests and visualisation of the Bimax structure.
-    """
-    clusters = bimax_naive(key_sets)
-    spans: List[Tuple[int, int]] = []
-    start = 0
-    for cluster in clusters:
-        end = start + len(cluster.members)
-        spans.append((start, end))
-        start = end
-    return spans

@@ -21,22 +21,21 @@ synthesized maximal keeps growing, cascading all entities into a
 single blob on streams with shared foreign keys.)  Each successful
 cover consumes at least one live cluster, so the algorithm terminates.
 
-The O(n² · cover) search runs internally on either frozensets or
-interned integer bitmasks (:mod:`repro.entities.keyset`); only the
-maximal elements participate in set algebra, so the bitset path encodes
-just those and leaves member lists untouched.  Member multiplicities
-(``EntityCluster.member_counts``), when present on every input
-cluster, ride along through merges.
+The O(n² · cover) search runs on interned integer bitmasks
+(:mod:`repro.entities.keyset`); only the maximal elements participate
+in set algebra, so only those are encoded and member lists stay
+untouched.  Member multiplicities (``EntityCluster.member_counts``),
+when present on every input cluster, ride along through merges.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.engine.instrument import counters
 from repro.entities.bimax import EntityCluster, KeySet, bimax_naive
-from repro.entities.keyset import KeySetUniverse, bitset_enabled
-from repro.entities.set_cover import greedy_set_cover, greedy_set_cover_masks
+from repro.entities.keyset import KeySetUniverse
+from repro.entities.set_cover import greedy_set_cover_masks
 
 
 def _counts_threaded(clusters: Sequence[EntityCluster]) -> bool:
@@ -46,71 +45,14 @@ def _counts_threaded(clusters: Sequence[EntityCluster]) -> bool:
     )
 
 
-def _greedy_merge_sets(
-    clusters: Sequence[EntityCluster], with_counts: bool
-) -> List[EntityCluster]:
-    """The seed frozenset implementation of Algorithm 8."""
-    live: List[EntityCluster] = [
-        EntityCluster(
-            maximal=cluster.maximal,
-            members=list(cluster.members),
-            synthesized=cluster.synthesized,
-            member_counts=(
-                list(cluster.member_counts) if with_counts else None
-            ),
-        )
-        for cluster in clusters
-    ]
-    consumed = [False] * len(live)
-    emitted = [False] * len(live)
-    merged: List[EntityCluster] = []
-    cover_calls = 0
+def greedy_merge(clusters: Sequence[EntityCluster]) -> List[EntityCluster]:
+    """Algorithm 8: merge Bimax-Naive clusters via set covers.
 
-    for position in range(len(live) - 1, -1, -1):
-        if consumed[position]:
-            continue
-        candidate = live[position]
-        while True:
-            # Offer cover members nearest-first in Bimax insertion
-            # order: the ordering places similar entities adjacent, so
-            # ties in the greedy cover resolve toward similar entities
-            # (the property Example 11 relies on).
-            pool = [
-                index
-                for index in range(len(live) - 1, -1, -1)
-                if index != position
-                and not consumed[index]
-                and not emitted[index]
-            ]
-            cover_calls += 1
-            cover_local = greedy_set_cover(
-                candidate.maximal, [live[i].maximal for i in pool]
-            )
-            if cover_local is None or not cover_local:
-                break
-            new_keys: set = set(candidate.maximal)
-            for local in cover_local:
-                index = pool[local]
-                consumed[index] = True
-                candidate.members.extend(live[index].members)
-                if with_counts:
-                    candidate.member_counts.extend(
-                        live[index].member_counts
-                    )
-                new_keys |= live[index].maximal
-            candidate.maximal = frozenset(new_keys)
-            candidate.synthesized = True
-        emitted[position] = True
-        merged.append(candidate)
-
-    counters.add("entities.cover_calls", cover_calls)
-    return merged
-
-
-def _greedy_merge_masks(
-    clusters: Sequence[EntityCluster], with_counts: bool
-) -> List[EntityCluster]:
-    """The bitset implementation: maximal elements as int masks."""
+    ``clusters`` must be in Bimax-Naive insertion order (largest
+    first); processing runs in reverse, i.e. smallest-first.  Returns
+    merged entities in emission order.
+    """
+    with_counts = _counts_threaded(clusters)
     universe = KeySetUniverse.from_key_sets(
         cluster.maximal for cluster in clusters
     )
@@ -131,6 +73,10 @@ def _greedy_merge_masks(
         if consumed[position]:
             continue
         while True:
+            # Offer cover members nearest-first in Bimax insertion
+            # order: the ordering places similar entities adjacent, so
+            # ties in the greedy cover resolve toward similar entities
+            # (the property Example 11 relies on).
             pool = [
                 index
                 for index in range(count - 1, -1, -1)
@@ -165,21 +111,6 @@ def _greedy_merge_masks(
         )
 
     counters.add("entities.cover_calls", cover_calls)
-    return merged
-
-
-def greedy_merge(clusters: Sequence[EntityCluster]) -> List[EntityCluster]:
-    """Algorithm 8: merge Bimax-Naive clusters via set covers.
-
-    ``clusters`` must be in Bimax-Naive insertion order (largest
-    first); processing runs in reverse, i.e. smallest-first.  Returns
-    merged entities in emission order.
-    """
-    with_counts = _counts_threaded(clusters)
-    if bitset_enabled():
-        merged = _greedy_merge_masks(clusters, with_counts)
-    else:
-        merged = _greedy_merge_sets(clusters, with_counts)
     counters.add("entities.clusters_emitted", len(merged))
     return merged
 

@@ -1,4 +1,4 @@
-"""Bitset representation of key-sets: the entity layer's fast path.
+"""Bitset key-sets: the representation every entity algorithm runs on.
 
 Entity discovery (Bimax ordering, Bimax-Naive, GreedyMerge, the
 partitioner's assignment rules) is dominated by subset and overlap
@@ -30,11 +30,10 @@ corresponds to an encoded input (masks are interned alongside the
 sets), so round-trips through the bitset layer cost no allocations for
 unchanged sets.
 
-Which representation the entity algorithms use internally is selected
-by :func:`set_entity_representation` (``"bitset"`` by default,
-``"frozenset"`` restores the seed implementations); the public API of
-every entity function consumes and produces frozensets either way, so
-callers never see masks unless they opt in.
+The public API of every entity function consumes and produces
+frozensets, so callers never see masks unless they opt in.  A
+frozenset transcription of each algorithm is kept as a test oracle in
+``tests/entities/frozenset_reference.py``.
 """
 
 from __future__ import annotations
@@ -149,36 +148,3 @@ def encode_all(
     """Encode a sequence of key-sets under one universe."""
     return [universe.encode(key_set) for key_set in key_sets]
 
-
-#: The representations the entity algorithms can run on internally.
-REPRESENTATIONS = ("bitset", "frozenset")
-
-_REPRESENTATION = "bitset"
-
-
-def set_entity_representation(mode: str) -> str:
-    """Select the internal representation for entity discovery.
-
-    ``"bitset"`` (the default) runs Bimax / GreedyMerge / the
-    partitioner on interned integer masks; ``"frozenset"`` restores the
-    seed's set-based implementations.  Returns the previous mode.  The
-    two produce byte-identical clusters (same maximals, members, and
-    emission order) — the equivalence suite asserts it.
-    """
-    global _REPRESENTATION
-    if mode not in REPRESENTATIONS:
-        raise ValueError(
-            f"unknown entity representation {mode!r}; "
-            f"known: {', '.join(REPRESENTATIONS)}"
-        )
-    previous = _REPRESENTATION
-    _REPRESENTATION = mode
-    return previous
-
-
-def entity_representation() -> str:
-    return _REPRESENTATION
-
-
-def bitset_enabled() -> bool:
-    return _REPRESENTATION == "bitset"

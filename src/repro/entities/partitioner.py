@@ -16,12 +16,11 @@ Rule 3 only matters during validation of unseen data; during discovery
 every training key-set belongs to some cluster by construction.
 
 Rules 2 and 3 scan every cluster's maximal element, so the partitioner
-encodes the maximals as integer bitmasks at construction (when the
-bitset representation is enabled) and each ``assign`` becomes a strip
-of AND/popcount operations.  A key outside the training vocabulary can
-never witness a subset relation, so rule 2 skips masked sets that lost
-keys in encoding; rule 3's overlaps are unaffected (unknown keys
-overlap nothing in either representation).
+encodes the maximals as integer bitmasks at construction and each
+``assign`` becomes a strip of AND/popcount operations.  A key outside
+the training vocabulary can never witness a subset relation, so rule 2
+skips masked sets that lost keys in encoding; rule 3's overlaps are
+unaffected (unknown keys overlap nothing).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, TypeVar
 
 from repro.engine.instrument import counters
 from repro.entities.bimax import EntityCluster
-from repro.entities.keyset import KeySetUniverse, bitset_enabled
+from repro.entities.keyset import KeySetUniverse
 
 KeySet = FrozenSet[str]
 T = TypeVar("T")
@@ -47,18 +46,14 @@ class EntityPartitioner:
         for index, cluster in enumerate(self._clusters):
             for member in cluster.members:
                 self._member_index.setdefault(member, index)
-        # Snapshot the representation at construction so a partitioner
-        # stays internally consistent however the global toggle moves.
-        self._universe: Optional[KeySetUniverse] = None
-        if bitset_enabled():
-            self._universe = KeySetUniverse.from_key_sets(
-                cluster.maximal for cluster in self._clusters
-            )
-            self._maximal_masks = [
-                self._universe.encode(cluster.maximal)
-                for cluster in self._clusters
-            ]
-            self._sizes = [mask.bit_count() for mask in self._maximal_masks]
+        self._universe = KeySetUniverse.from_key_sets(
+            cluster.maximal for cluster in self._clusters
+        )
+        self._maximal_masks = [
+            self._universe.encode(cluster.maximal)
+            for cluster in self._clusters
+        ]
+        self._sizes = [mask.bit_count() for mask in self._maximal_masks]
 
     @property
     def clusters(self) -> List[EntityCluster]:
@@ -79,36 +74,6 @@ class EntityPartitioner:
         direct = self._member_index.get(key_set)
         if direct is not None:
             return direct
-        if self._universe is not None:
-            return self._assign_mask(key_set)
-        return self._assign_sets(key_set)
-
-    def _assign_sets(self, key_set: KeySet) -> int:
-        best_superset = -1
-        best_superset_size = None
-        for index, cluster in enumerate(self._clusters):
-            if key_set <= cluster.maximal:
-                if (
-                    best_superset_size is None
-                    or cluster.size < best_superset_size
-                ):
-                    best_superset = index
-                    best_superset_size = cluster.size
-        if best_superset >= 0:
-            return best_superset
-        best_overlap = -1
-        best_index = 0
-        for index, cluster in enumerate(self._clusters):
-            overlap = len(key_set & cluster.maximal)
-            if overlap > best_overlap or (
-                overlap == best_overlap
-                and cluster.size < self._clusters[best_index].size
-            ):
-                best_overlap = overlap
-                best_index = index
-        return best_index
-
-    def _assign_mask(self, key_set: KeySet) -> int:
         mask, complete = self._universe.encode_partial(key_set)
         masks = self._maximal_masks
         sizes = self._sizes

@@ -9,15 +9,17 @@ set covering the most still-uncovered keys.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
-
-KeySet = FrozenSet[str]
+from typing import List, Optional, Sequence
 
 
-def greedy_set_cover(
-    target: KeySet, candidates: Sequence[KeySet]
+def greedy_set_cover_masks(
+    target: int, candidates: Sequence[int]
 ) -> Optional[List[int]]:
     """Indices of a greedy cover of ``target`` from ``candidates``.
+
+    Key-sets are interned integer bitmasks
+    (:class:`~repro.entities.keyset.KeySetUniverse`): gains and
+    extraneous-key counts are popcounts, feasibility is a single AND.
 
     Returns ``None`` when no subset of the candidates covers the
     target.  The empty target is covered by the empty cover only when
@@ -28,60 +30,10 @@ def greedy_set_cover(
     """
     if not candidates:
         return None
-    uncovered = set(target)
-    if not uncovered:
-        return []
-    # Fast feasibility check: every target key must appear somewhere.
-    available = set()
-    for candidate in candidates:
-        available |= candidate
-    if not uncovered <= available:
-        return None
-    cover: List[int] = []
-    chosen = [False] * len(candidates)
-    target_keys = set(target)
-    while uncovered:
-        best_index = -1
-        best_score = None
-        for index, candidate in enumerate(candidates):
-            if chosen[index]:
-                continue
-            gain = len(uncovered & candidate)
-            if gain == 0:
-                continue
-            # Prefer covers that stay inside the target: a set bringing
-            # keys the candidate entity does not have is evidence of a
-            # *different* entity that merely shares fields, and pulling
-            # it in would glue distinct entities together (e.g. Yelp's
-            # salons melting into the generic business entity).
-            extraneous = len(candidate - target_keys)
-            score = (extraneous, -gain)
-            if best_score is None or score < best_score:
-                best_score = score
-                best_index = index
-        if best_index < 0:  # pragma: no cover - feasibility checked above
-            return None
-        chosen[best_index] = True
-        cover.append(best_index)
-        uncovered -= candidates[best_index]
-    return cover
-
-
-def greedy_set_cover_masks(
-    target: int, candidates: Sequence[int]
-) -> Optional[List[int]]:
-    """:func:`greedy_set_cover` over interned integer bitmasks.
-
-    Byte-for-byte the same greedy choices — gains and extraneous-key
-    counts become popcounts, feasibility becomes a single AND — so the
-    returned index list is identical to the frozenset version on
-    equivalently encoded inputs.
-    """
-    if not candidates:
-        return None
     uncovered = target
     if not uncovered:
         return []
+    # Fast feasibility check: every target key must appear somewhere.
     available = 0
     for candidate in candidates:
         available |= candidate
@@ -98,8 +50,11 @@ def greedy_set_cover_masks(
             gain = (uncovered & candidate).bit_count()
             if gain == 0:
                 continue
-            # Prefer covers that stay inside the target (see the
-            # frozenset implementation above for the rationale).
+            # Prefer covers that stay inside the target: a set bringing
+            # keys the candidate entity does not have is evidence of a
+            # *different* entity that merely shares fields, and pulling
+            # it in would glue distinct entities together (e.g. Yelp's
+            # salons melting into the generic business entity).
             extraneous = (candidate & ~target).bit_count()
             score = (extraneous, -gain)
             if best_score is None or score < best_score:
@@ -111,55 +66,3 @@ def greedy_set_cover_masks(
         cover.append(best_index)
         uncovered &= ~candidates[best_index]
     return cover
-
-
-def cover_exists(target: KeySet, candidates: Sequence[KeySet]) -> bool:
-    """Does any subset of ``candidates`` cover ``target``?
-
-    Equivalent to checking the union, but spelled out for symmetry with
-    :func:`greedy_set_cover`.
-    """
-    return greedy_set_cover(target, candidates) is not None
-
-
-def minimal_cover_size(
-    target: KeySet, candidates: Sequence[KeySet]
-) -> Optional[int]:
-    """Size of an exact minimal cover, by branch and bound.
-
-    Exponential in the worst case; intended for tests that check the
-    greedy approximation stays close on realistic inputs.
-    """
-    greedy = greedy_set_cover(target, candidates)
-    if greedy is None:
-        return None
-    best = len(greedy)
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: -len(candidates[i] & target),
-    )
-
-    def search(uncovered: frozenset, start: int, used: int) -> None:
-        nonlocal best
-        if not uncovered:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        for position in range(start, len(order)):
-            candidate = candidates[order[position]]
-            if uncovered & candidate:
-                search(uncovered - candidate, position + 1, used + 1)
-
-    search(frozenset(target), 0, 0)
-    return best
-
-
-def cover_signature(
-    target: KeySet, candidates: Sequence[KeySet]
-) -> Tuple[bool, int]:
-    """(covered?, greedy cover size) — handy for diagnostics."""
-    cover = greedy_set_cover(target, candidates)
-    if cover is None:
-        return False, 0
-    return True, len(cover)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.discovery.sketches import EnrichmentOptions
 from repro.discovery.state import DiscoveryState, state_for_algorithm
 from repro.errors import StateCodecError
 from repro.io.jsonlines import write_jsonlines
@@ -110,6 +111,79 @@ class TestResumeOnDamagedCheckpoint:
             ]
         ) == 0
         checkpoint.write_bytes(_corrupt_key(checkpoint.read_bytes()))
+        capsys.readouterr()
+        assert main(
+            [
+                "discover", "--resume", "--checkpoint", str(checkpoint),
+                "--append", str(corpus),
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
+
+def _forge_geometry(blob: bytes, **geometry) -> bytes:
+    """Re-encode a sketched state with one path bundle's sketch
+    geometry overwritten (``hashes``/``size`` on the Bloom filter,
+    ``precision`` on the HLL)."""
+    state = DiscoveryState.from_bytes(blob)
+    bundle = next(iter(state.enrichment.paths.values()))
+    for name, value in geometry.items():
+        target = bundle.cardinality if name == "precision" else bundle.members
+        setattr(target, name, value)
+    return state.to_bytes()
+
+
+class TestForgedSketchGeometry:
+    """A checkpoint may not declare sketch geometry its own options
+    do not: every later absorb pays ``hashes`` probes per value."""
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {"hashes": 4_000_000},
+            {"hashes": 2**40},
+            {"hashes": 5},
+            {"precision": 9},
+        ],
+        ids=["hashes-4M", "hashes-2^40", "hashes-5", "hll-precision"],
+    )
+    def test_decode_rejects_bundle_geometry(self, geometry):
+        blob = _forge_geometry(BLOBS[("jxplain", "sketches,unions")], **geometry)
+        with pytest.raises(StateCodecError):
+            DiscoveryState.from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"bloom_hashes": 1025},
+            {"bloom_bits": 1 << 24},
+        ],
+        ids=["hashes-above-bits", "bits-above-ceiling"],
+    )
+    def test_options_have_upper_bounds(self, options):
+        with pytest.raises(ValueError):
+            EnrichmentOptions(**options).validate()
+
+    def test_resume_append_exits_2_with_one_error_line(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "head.jsonl"
+        write_jsonlines(corpus, _records())
+        checkpoint = tmp_path / "head.state"
+        assert main(
+            [
+                "discover", str(corpus), "--enrich", "sketches",
+                "--checkpoint", str(checkpoint),
+                "--output", str(tmp_path / "schema.json"),
+            ]
+        ) == 0
+        checkpoint.write_bytes(
+            _forge_geometry(checkpoint.read_bytes(), hashes=4_000_000)
+        )
         capsys.readouterr()
         assert main(
             [

@@ -2,12 +2,9 @@
 
 from hypothesis import given
 
-from repro.entities.bimax import (
-    bimax_naive,
-    bimax_order,
-    block_boundaries,
-)
+from repro.entities.bimax import bimax_naive, bimax_order
 from tests.conftest import key_set_lists
+from tests.entities.frozenset_reference import block_boundaries
 
 
 def fs(*keys):

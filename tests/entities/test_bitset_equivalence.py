@@ -1,10 +1,11 @@
-"""Frozenset ↔ bitset equivalence for the whole entity stack.
+"""Product ↔ frozenset-oracle equivalence for the whole entity stack.
 
-The bitset layer promises byte-identical output — same maximals, same
-members, same emission order, same assignments — for every algorithm it
-accelerates.  These tests run each algorithm under both representations
-on hypothesis-generated and randomized seeded bags and compare results
-structurally.
+The entity layer runs on interned bitmasks and promises the output of
+the set-algebra transcription of the paper's algorithms — same
+maximals, same members, same emission order, same assignments.  These
+tests run each product algorithm and its frozenset reference
+(:mod:`tests.entities.frozenset_reference`) on hypothesis-generated and
+randomized seeded bags and compare results structurally.
 """
 
 import random
@@ -12,36 +13,23 @@ import random
 import pytest
 from hypothesis import given
 
+from repro.engine.instrument import counters, reset_perf_counters
 from repro.entities.bimax import (
     EntityCluster,
-    _sorted_by_size,
+    _sorted_masks,
     bimax_naive,
     bimax_order,
 )
 from repro.entities.greedy_merge import bimax_merge, greedy_merge
-from repro.entities.keyset import (
-    KeySetUniverse,
-    set_entity_representation,
-)
+from repro.entities.keyset import KeySetUniverse, encode_all
 from repro.entities.partitioner import EntityPartitioner
-from repro.entities.set_cover import greedy_set_cover, greedy_set_cover_masks
+from repro.entities.set_cover import greedy_set_cover_masks
 from tests.conftest import key_set_lists
+from tests.entities import frozenset_reference as oracle
 
 
 def fs(*keys):
     return frozenset(keys)
-
-
-def both_representations(fn, *args):
-    """Run ``fn(*args)`` under each representation; return both results."""
-    outputs = {}
-    for mode in ("frozenset", "bitset"):
-        previous = set_entity_representation(mode)
-        try:
-            outputs[mode] = fn(*args)
-        finally:
-            set_entity_representation(previous)
-    return outputs["frozenset"], outputs["bitset"]
 
 
 def cluster_shape(clusters):
@@ -80,34 +68,35 @@ def seeded_bags(cases=25):
 class TestAlgorithmEquivalence:
     @given(key_set_lists)
     def test_bimax_order(self, key_sets):
-        a, b = both_representations(bimax_order, key_sets)
+        a = oracle.bimax_order(key_sets)
+        b = bimax_order(key_sets)
         assert a == b
 
     @given(key_set_lists)
     def test_bimax_naive(self, key_sets):
-        a, b = both_representations(bimax_naive, key_sets)
+        a = oracle.bimax_naive(key_sets)
+        b = bimax_naive(key_sets)
         assert cluster_shape(a) == cluster_shape(b)
 
     @given(key_set_lists)
     def test_greedy_merge(self, key_sets):
-        def run(ks):
-            return greedy_merge(bimax_naive(ks))
-
-        a, b = both_representations(run, key_sets)
+        a = oracle.greedy_merge(oracle.bimax_naive(key_sets))
+        b = greedy_merge(bimax_naive(key_sets))
         assert cluster_shape(a) == cluster_shape(b)
 
     @given(key_set_lists)
     def test_bimax_merge(self, key_sets):
-        a, b = both_representations(bimax_merge, key_sets)
+        a = oracle.bimax_merge(key_sets)
+        b = bimax_merge(key_sets)
         assert cluster_shape(a) == cluster_shape(b)
 
     @pytest.mark.parametrize("case", range(25))
     def test_seeded_bags_end_to_end(self, case):
         bag = list(seeded_bags())[case]
 
-        def run(ks):
-            clusters = bimax_merge(ks)
-            partitioner = EntityPartitioner(clusters)
+        def run(ks, merge, partitioner_class):
+            clusters = merge(ks)
+            partitioner = partitioner_class(clusters)
             probes = ks + [
                 frozenset(set(x) | set(y)) for x, y in zip(ks, ks[1:])
             ] + [fs("unseen-key"), fs()]
@@ -115,8 +104,27 @@ class TestAlgorithmEquivalence:
                 partitioner.assign(p) for p in probes
             ]
 
-        a, b = both_representations(run, bag)
+        a = run(bag, oracle.bimax_merge, oracle.ReferencePartitioner)
+        b = run(bag, bimax_merge, EntityPartitioner)
         assert a == b
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_seeded_bags_counters(self, case):
+        """The ``entities.*`` counters are part of the contract too."""
+        bag = list(seeded_bags())[case]
+
+        def run(merge, partitioner_class):
+            reset_perf_counters()
+            clusters = merge(bag)
+            partitioner_class(clusters).partition(range(len(bag)), bag)
+            return {
+                key: value
+                for key, value in counters.snapshot().items()
+                if key.startswith("entities.")
+            }
+
+        expected = run(oracle.bimax_merge, oracle.ReferencePartitioner)
+        assert run(bimax_merge, EntityPartitioner) == expected
 
     @pytest.mark.parametrize("case", range(10))
     def test_greedy_set_cover_masks_match(self, case):
@@ -130,7 +138,7 @@ class TestAlgorithmEquivalence:
             rng.sample(vocabulary, rng.randint(0, len(vocabulary)))
         )
         universe = KeySetUniverse.from_key_sets(candidates + [target])
-        expected = greedy_set_cover(target, candidates)
+        expected = oracle.greedy_set_cover(target, candidates)
         got = greedy_set_cover_masks(
             universe.encode(target),
             [universe.encode(c) for c in candidates],
@@ -141,20 +149,30 @@ class TestAlgorithmEquivalence:
 class TestSortDeterminism:
     def test_sorted_by_size_ignores_input_order(self):
         """Regression: the tie-break must be a pure function of the
-        key-sets, so any permutation of the input sorts identically."""
+        key-sets, so any permutation of the input sorts — and Bimax
+        orders — identically."""
         rng = random.Random(7)
         key_sets = [
             frozenset(rng.sample("abcdefgh", rng.randint(0, 8)))
             for _ in range(40)
         ] + [fs("a", ("p", 1)), fs(("p", 0)), fs(2, "b")]
-        reference = _sorted_by_size(key_sets)
+
+        def mask_sorted(ks):
+            universe = KeySetUniverse.from_key_sets(ks)
+            masks = _sorted_masks(encode_all(universe, ks), universe)
+            return [universe.decode(mask) for mask in masks]
+
+        reference = mask_sorted(key_sets)
+        assert reference == oracle.sorted_by_size(key_sets)
+        ordering = bimax_order(key_sets)
         for _ in range(10):
             shuffled = list(key_sets)
             rng.shuffle(shuffled)
-            assert _sorted_by_size(shuffled) == reference
+            assert mask_sorted(shuffled) == reference
+            assert bimax_order(shuffled) == ordering
 
     def test_mixed_type_keys_sort(self):
-        out = _sorted_by_size([fs(("p", 0)), fs("a"), fs(1)])
+        out = bimax_order([fs(("p", 0)), fs("a"), fs(1)])
         assert len(out) == 3
         assert all(len(ks) == 1 for ks in out)
 
@@ -176,13 +194,13 @@ class TestPartitionerRule3:
         assert partitioner.assign(fs("a", "q")) == 0
 
     def test_rule3_equivalent_across_representations(self):
-        def build_and_probe():
+        def build_and_probe(partitioner_class):
             clusters = [
                 EntityCluster(maximal=fs("a", "b", "c"), members=[fs("a", "b", "c")]),
                 EntityCluster(maximal=fs("c", "d"), members=[fs("c", "d")]),
                 EntityCluster(maximal=fs("e", "f"), members=[fs("e", "f")]),
             ]
-            partitioner = EntityPartitioner(clusters)
+            partitioner = partitioner_class(clusters)
             probes = [
                 fs("c", "zzz"),
                 fs("a", "d", "zzz"),
@@ -191,5 +209,6 @@ class TestPartitionerRule3:
             ]
             return [partitioner.assign(p) for p in probes]
 
-        a, b = both_representations(build_and_probe)
+        a = build_and_probe(oracle.ReferencePartitioner)
+        b = build_and_probe(EntityPartitioner)
         assert a == b

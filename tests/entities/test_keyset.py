@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given
 
-from repro.entities.keyset import (
-    KeySetUniverse,
-    bitset_enabled,
-    entity_representation,
-    iter_bits,
-    set_entity_representation,
-)
+from repro.entities.keyset import KeySetUniverse, iter_bits
 from tests.conftest import key_set_lists
 
 
@@ -71,21 +65,3 @@ class TestUniverse:
             )
             assert keys == ks
 
-
-class TestRepresentationToggle:
-    def test_default_is_bitset(self):
-        assert entity_representation() == "bitset"
-        assert bitset_enabled()
-
-    def test_toggle_round_trip(self):
-        previous = set_entity_representation("frozenset")
-        try:
-            assert previous == "bitset"
-            assert not bitset_enabled()
-        finally:
-            set_entity_representation(previous)
-        assert bitset_enabled()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_entity_representation("roaring")

@@ -1,12 +1,21 @@
-"""Tests for the greedy set cover used by GreedyMerge."""
+"""Tests for the greedy set cover used by GreedyMerge.
+
+Every case runs the product's bitmask cover on the key-sets encoded
+through one :class:`KeySetUniverse` and checks it against the
+frozenset oracle before asserting on the result.
+"""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.entities.set_cover import (
+from repro.entities.keyset import KeySetUniverse
+from repro.entities.set_cover import greedy_set_cover_masks
+from tests.entities.frozenset_reference import (
     cover_exists,
-    greedy_set_cover,
     minimal_cover_size,
+)
+from tests.entities.frozenset_reference import (
+    greedy_set_cover as reference_cover,
 )
 
 small_sets = st.frozensets(st.sampled_from("abcdefgh"), max_size=6)
@@ -14,6 +23,16 @@ small_sets = st.frozensets(st.sampled_from("abcdefgh"), max_size=6)
 
 def fs(*keys):
     return frozenset(keys)
+
+
+def greedy_set_cover(target, candidates):
+    """The product cover on encoded inputs; must equal the oracle's."""
+    universe = KeySetUniverse.from_key_sets([target, *candidates])
+    cover = greedy_set_cover_masks(
+        universe.encode(target), [universe.encode(c) for c in candidates]
+    )
+    assert cover == reference_cover(target, candidates)
+    return cover
 
 
 class TestGreedySetCover:
@@ -47,6 +66,15 @@ class TestGreedySetCover:
             [fs("a"), fs("a", "b", "c")],
         )
         assert cover == [1]
+
+    def test_prefers_covers_inside_the_target(self):
+        # {a, b, x} covers most but brings a key the target lacks; the
+        # two in-target pieces win.
+        cover = greedy_set_cover(
+            fs("a", "b"),
+            [fs("a", "b", "x"), fs("a"), fs("b")],
+        )
+        assert cover == [1, 2]
 
     @given(small_sets, st.lists(small_sets, max_size=6))
     def test_greedy_cover_is_valid(self, target, candidates):
