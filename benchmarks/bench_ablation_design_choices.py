@@ -6,8 +6,8 @@ Not a table from the paper; these quantify the individual decisions:
   that share an envelope (GitHub);
 * entity strategy ladder (SINGLE / KMEANS / BIMAX_NAIVE / BIMAX_MERGE /
   EXACT) — precision/recall trade-off along §6's continuum;
-* fold-based versus in-memory pass ③ — identical schemas, comparable
-  cost;
+* fold-based pass ③ (the product) versus the in-memory recursive
+  merger (the test oracle) — identical schemas, comparable cost;
 * literal versus decision-counting collection entropy — the literal
   count compounds nested collections astronomically.
 """
@@ -28,6 +28,7 @@ from repro.io.sampling import train_test_split
 from repro.jsontypes.types import type_of
 from repro.schema.entropy import schema_entropy
 from repro.validation.validator import recall_against
+from tests.discovery.pipeline_merger_reference import partitioned_pipeline
 
 
 def test_ablation_feature_mode(benchmark):
@@ -96,10 +97,10 @@ def test_ablation_fold_vs_in_memory(benchmark):
     records = bench_records("github", seed=83)
 
     def run_fold():
-        return JxplainPipeline(use_fold=True).discover(records)
+        return JxplainPipeline().discover(records)
 
     fold_schema = benchmark.pedantic(run_fold, rounds=1, iterations=1)
-    merger_schema = JxplainPipeline(use_fold=False).discover(records)
+    merger_schema, _ = partitioned_pipeline(records, merger=True)
     assert fold_schema == merger_schema
 
 

@@ -21,7 +21,8 @@ exploits.  Three configurations run over the same corpora:
 
 Clusters must be byte-identical across all three (same maximals, same
 members, same emission order, same record assignments); the run fails
-otherwise.  Results go to ``BENCH_PR2.json`` at the repo root and
+otherwise.  Results go to ``BENCH_PR2.json`` at the repo root (to
+``.bench_out/BENCH_PR2.json`` below full scale) and
 ``benchmarks/results/entities.txt``.  At full scale (>= 2000 records
 per path, >= 64 distinct keys) the bitset representation must be
 >= 3x faster than frozensets on at least one corpus.
@@ -40,7 +41,7 @@ import zlib
 from datetime import datetime, timezone
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, report_path
 from repro.engine import resolve_executor
 from repro.engine.instrument import counters, reset_perf_counters
 from repro.entities import EntityPartitioner, bimax_merge
@@ -224,7 +225,9 @@ def test_entities_bench():
             d["clusters_identical"] for d in report["corpora"].values()
         ),
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    report_path(OUTPUT, full_scale).write_text(
+        json.dumps(report, indent=2) + "\n"
+    )
 
     lines = [
         "corpus         mode              stage_s  speedup",

@@ -1,8 +1,9 @@
 """Core performance bench for the dataflow backends + merge fast path.
 
 Times both extractors end-to-end — K-reduce as a one-pass counted-bag
-fold over a :class:`LocalDataset`, JXPLAIN as the staged three-pass
-pipeline — on the yelp/github/pharma synthetic datasets under four
+fold over four explicit slices fanned out with ``Executor.map_list``,
+JXPLAIN as the recursive merger and as the staged three-pass pipeline —
+on the yelp/github/pharma synthetic datasets under four
 configurations:
 
 * ``baseline``            — serial executor, list bags, interning and
@@ -14,10 +15,11 @@ configurations:
 
 Results — timings, speedups versus baseline, intern/cache counters,
 distinct-type ratios, worker counts — are written machine-readably to
-``BENCH_PR1.json`` at the repo root and as text under
-``benchmarks/results/``.  Schema identity across every configuration
-is asserted, and at full scale the run must show a ≥2x speedup for
-both algorithms on at least one dataset.
+``BENCH_PR1.json`` at the repo root (``.bench_out/BENCH_PR1.json``
+below full scale) and as text under ``benchmarks/results/``.  Schema
+identity across every configuration is asserted, and at full scale
+the run must show a ≥2x speedup for both algorithms on at least one
+dataset.
 
 Scale with ``REPRO_BENCH_SCALE`` (CI smoke uses a small fraction; the
 speedup gate only applies at >= 2000 records).
@@ -25,17 +27,18 @@ speedup gate only applies at >= 2000 records).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, report_path
 from repro.datasets import make_dataset
 from repro.discovery import Jxplain, JxplainPipeline
 from repro.discovery.kreduce import merge_k
-from repro.engine import LocalDataset, resolve_executor
+from repro.engine import resolve_executor
 from repro.engine.instrument import (
     counters,
     perf_counters,
@@ -73,8 +76,10 @@ def _bag_zero():
     return as_bag([])
 
 
-def _bag_seq(bag, value):
-    bag.add(type_of(value))
+def _bag_slice(values):
+    bag = _bag_zero()
+    for value in values:
+        bag.add(type_of(value))
     return bag
 
 
@@ -85,10 +90,11 @@ def _bag_comb(left, right):
 
 
 def _run_kreduce(records, executor):
-    """One-pass distributed K-reduce: per-partition type bags, fanned
-    in, then one batch merge in the driver."""
-    ds = LocalDataset.from_records(records, 4, executor=executor)
-    return merge_k(ds.aggregate(_bag_zero, _bag_seq, _bag_comb))
+    """One-pass distributed K-reduce: per-slice type bags, fanned in,
+    then one batch merge in the driver."""
+    slices = [records[index::4] for index in range(4)]
+    partials = executor.map_list(_bag_slice, slices)
+    return merge_k(functools.reduce(_bag_comb, partials, _bag_zero()))
 
 
 def _set_mode(optimized):
@@ -193,7 +199,9 @@ def test_perf_core():
         "met": best_k >= 2.0 and best_j >= 2.0,
     }
 
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    report_path(OUTPUT, full_scale).write_text(
+        json.dumps(report, indent=2) + "\n"
+    )
 
     lines = [
         "dataset        mode                   kreduce_s  jxplain_s"

@@ -52,6 +52,10 @@ BENCH_TRIALS = 2
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Where below-full-scale runs write their machine-readable reports,
+#: so a smoke run never rewrites the tracked ``BENCH_*.json`` files.
+SMOKE_REPORT_DIR = Path(__file__).resolve().parent.parent / ".bench_out"
+
 
 def bench_size(name: str) -> int:
     return max(30, int(BENCH_SIZES[name] * SCALE))
@@ -65,6 +69,15 @@ def bench_records(name: str, seed: int = 0) -> list:
 def sweep_discoverers() -> list:
     """The four algorithms of Tables 1, 2 and 5, in paper order."""
     return [KReduce(), Jxplain(), JxplainNaive(), LReduce()]
+
+
+def report_path(tracked: Path, full_scale: bool) -> Path:
+    """``tracked`` at full scale, else its name under
+    :data:`SMOKE_REPORT_DIR`."""
+    if full_scale:
+        return tracked
+    SMOKE_REPORT_DIR.mkdir(exist_ok=True)
+    return SMOKE_REPORT_DIR / tracked.name
 
 
 def emit(name: str, text: str) -> None:

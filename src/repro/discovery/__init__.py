@@ -58,7 +58,6 @@ from repro.discovery.kreduce import (
 from repro.discovery.lreduce import LReduce, merge_naive
 from repro.discovery.pipeline import (
     JxplainPipeline,
-    PipelineMerger,
     PipelineResult,
     TupleShapes,
     build_partitioners,
@@ -118,7 +117,6 @@ __all__ = [
     "LReduce",
     "LReduceState",
     "PathEntropy",
-    "PipelineMerger",
     "PipelineResult",
     "RobustnessConfig",
     "StatTree",

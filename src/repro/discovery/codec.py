@@ -2,12 +2,13 @@
 
 Every constituent of a :class:`~repro.discovery.state.DiscoveryState`
 — counted bags, :class:`~repro.jsontypes.types.JsonType`\\ s, schemas,
-stat trees, tuple shapes, fold nodes, configs and enrichment sketches —
-has a codec here (as do tagged-union decisions), so partial states can
-cross the executor boundary (and checkpoint files) in a compact wire
-form instead of as pickled live objects.  Entity clusters are never
-part of a state (they are recomputed from the bags at synthesis), so
-they have no codec.
+stat trees, configs and enrichment sketches — has a codec here (as do
+tagged-union decisions), so partial states can cross the executor
+boundary (and checkpoint files) in a compact wire form instead of as
+pickled live objects.  The synthesis passes' own accumulators (tuple
+shapes, fold nodes) and entity clusters are never part of a state
+(they are recomputed from the bags at synthesis), so they have no
+codec.
 
 Design:
 
@@ -42,13 +43,6 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.discovery.config import EntityStrategy, FeatureMode, JxplainConfig
-from repro.discovery.fold import (
-    ArrayCollAcc,
-    ArrayEntityAcc,
-    FoldNode,
-    ObjectCollAcc,
-    ObjectEntityAcc,
-)
 from repro.discovery.sketches import (
     BloomMembershipSketch,
     EnrichmentOptions,
@@ -483,35 +477,6 @@ def read_path(dec: Decoder) -> Path:
     return tuple(steps)
 
 
-def _write_feature(enc: Encoder, feature) -> None:
-    """One key-set member: a plain key (str) or a path (tuple)."""
-    if isinstance(feature, str):
-        enc.w.uvarint(0)
-        enc.w.string(feature)
-    elif isinstance(feature, tuple):
-        enc.w.uvarint(1)
-        write_path(enc, feature)
-    else:
-        raise StateCodecError(f"unknown feature element {feature!r}")
-
-
-def _read_feature(dec: Decoder):
-    tag = dec.r.uvarint()
-    if tag == 0:
-        return dec.r.string()
-    if tag == 1:
-        return read_path(dec)
-    raise StateCodecError(f"unknown feature tag {tag}")
-
-
-def _write_key_set(enc: Encoder, key_set) -> None:
-    enc.sorted_blobs(key_set, _write_feature)
-
-
-def _read_key_set(dec: Decoder) -> frozenset:
-    return frozenset(_read_feature(dec) for _ in range(dec.r.uvarint()))
-
-
 # -- schemas ------------------------------------------------------------------
 #
 # Tags: 0 NEVER, 1 primitive, 2 ObjectTuple, 3 ArrayTuple,
@@ -720,114 +685,6 @@ def read_stat_tree(dec: Decoder) -> StatTree:
             raise StateCodecError(f"unknown stat-tree step tag {tag}")
         tree.children[step] = read_stat_tree(dec)
     return tree
-
-
-# -- tuple shapes (pass ②'s accumulator) --------------------------------------
-
-
-def write_tuple_shapes(enc: Encoder, shapes) -> None:
-    def write_object_entry(e: Encoder, entry) -> None:
-        path, feature_sets = entry
-        write_path(e, path)
-        e.sorted_blobs(feature_sets, _write_key_set)
-
-    def write_array_entry(e: Encoder, entry) -> None:
-        path, lengths = entry
-        write_path(e, path)
-        e.w.uvarint(len(lengths))
-        for length in sorted(lengths):
-            e.w.uvarint(length)
-
-    enc.sorted_blobs(shapes.object_features.items(), write_object_entry)
-    enc.sorted_blobs(shapes.array_lengths.items(), write_array_entry)
-
-
-def read_tuple_shapes(dec: Decoder):
-    from repro.discovery.pipeline import TupleShapes
-
-    shapes = TupleShapes()
-    for _ in range(dec.r.uvarint()):
-        path = read_path(dec)
-        shapes.object_features[path] = {
-            _read_key_set(dec) for _ in range(dec.r.uvarint())
-        }
-    for _ in range(dec.r.uvarint()):
-        path = read_path(dec)
-        shapes.array_lengths[path] = {
-            dec.r.uvarint() for _ in range(dec.r.uvarint())
-        }
-    return shapes
-
-
-# -- fold nodes (pass ③'s accumulator) ----------------------------------------
-
-
-def write_fold_node(enc: Encoder, node: FoldNode) -> None:
-    kinds = sorted(node.primitive_kinds, key=_KIND_TAG.__getitem__)
-    enc.w.uvarint(len(kinds))
-    for kind in kinds:
-        _write_kind(enc, kind)
-    enc.w.uvarint(len(node.object_entities))
-    for entity in sorted(node.object_entities):
-        acc = node.object_entities[entity]
-        enc.w.uvarint(entity)
-        enc.w.uvarint(len(acc.required))
-        for key in sorted(acc.required):
-            enc.w.string(key)
-        enc.w.uvarint(len(acc.fields))
-        for key in sorted(acc.fields):
-            enc.w.string(key)
-            write_fold_node(enc, acc.fields[key])
-    enc.w.boolean(node.object_collection is not None)
-    if node.object_collection is not None:
-        coll = node.object_collection
-        _write_opt(enc, coll.value, write_fold_node)
-        enc.w.uvarint(len(coll.domain))
-        for key in sorted(coll.domain):
-            enc.w.string(key)
-    enc.w.uvarint(len(node.array_entities))
-    for entity in sorted(node.array_entities):
-        acc = node.array_entities[entity]
-        enc.w.uvarint(entity)
-        enc.w.uvarint(acc.min_length)
-        enc.w.uvarint(len(acc.positions))
-        for child in acc.positions:
-            write_fold_node(enc, child)
-    enc.w.boolean(node.array_collection is not None)
-    if node.array_collection is not None:
-        coll = node.array_collection
-        _write_opt(enc, coll.element, write_fold_node)
-        enc.w.uvarint(coll.max_length)
-
-
-def read_fold_node(dec: Decoder) -> FoldNode:
-    node = FoldNode()
-    for _ in range(dec.r.uvarint()):
-        node.primitive_kinds.add(_read_kind(dec))
-    for _ in range(dec.r.uvarint()):
-        entity = dec.r.uvarint()
-        required = {dec.r.string() for _ in range(dec.r.uvarint())}
-        acc = ObjectEntityAcc(required=required)
-        for _ in range(dec.r.uvarint()):
-            key = dec.r.string()
-            acc.fields[key] = read_fold_node(dec)
-        node.object_entities[entity] = acc
-    if dec.r.boolean():
-        coll = ObjectCollAcc(value=_read_opt(dec, read_fold_node))
-        coll.domain = {dec.r.string() for _ in range(dec.r.uvarint())}
-        node.object_collection = coll
-    for _ in range(dec.r.uvarint()):
-        entity = dec.r.uvarint()
-        acc = ArrayEntityAcc(min_length=dec.r.uvarint())
-        acc.positions = [
-            read_fold_node(dec) for _ in range(dec.r.uvarint())
-        ]
-        node.array_entities[entity] = acc
-    if dec.r.boolean():
-        coll = ArrayCollAcc(element=_read_opt(dec, read_fold_node))
-        coll.max_length = dec.r.uvarint()
-        node.array_collection = coll
-    return node
 
 
 # -- configuration ------------------------------------------------------------
@@ -1161,40 +1018,8 @@ def read_tagged_unions(dec: Decoder):
 
 # -- standalone payloads ------------------------------------------------------
 #
-# Module-level function pairs, so executor tasks can carry them by
-# reference through pickle (`partial(..., dumps=dumps_stat_tree)`).
-
-
-def dumps_schema(schema: Schema) -> bytes:
-    return _dumps("schema", write_schema, schema)
-
-
-def loads_schema(data: bytes) -> Schema:
-    return _loads("schema", read_schema, data)
-
-
-def dumps_stat_tree(tree: StatTree) -> bytes:
-    return _dumps("stat-tree", write_stat_tree, tree)
-
-
-def loads_stat_tree(data: bytes) -> StatTree:
-    return _loads("stat-tree", read_stat_tree, data)
-
-
-def dumps_tuple_shapes(shapes) -> bytes:
-    return _dumps("tuple-shapes", write_tuple_shapes, shapes)
-
-
-def loads_tuple_shapes(data: bytes):
-    return _loads("tuple-shapes", read_tuple_shapes, data)
-
-
-def dumps_fold_node(node: FoldNode) -> bytes:
-    return _dumps("fold-node", write_fold_node, node)
-
-
-def loads_fold_node(data: bytes) -> FoldNode:
-    return _loads("fold-node", read_fold_node, data)
+# The sidecar values that serialize on their own (``Sketch.to_bytes``,
+# ``EnrichmentState.to_bytes``, ``TaggedUnionDecision.to_bytes``).
 
 
 def dumps_sketch(sketch) -> bytes:

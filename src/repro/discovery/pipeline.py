@@ -1,51 +1,39 @@
 """The staged three-pass JXPLAIN pipeline (Section 4.2, Figure 3).
 
 Pass ① folds a :class:`~repro.discovery.stat_tree.StatTree` over the
-partitioned data and derives collection/tuple designations per path.
-Pass ② collects the distinct key-sets (objects) and lengths (arrays)
-at every tuple-designated path and compiles them — via the configured
-Bimax strategy — into deterministic :class:`EntityPartitioner`\\ s.
-Pass ③ synthesizes the schema; with the heuristic answers fixed it is
-an associative fold (:mod:`repro.discovery.fold`) run through the
-engine's ``tree_aggregate``.
+records and derives collection/tuple designations per path.  Pass ②
+collects the distinct key-sets (objects) and lengths (arrays) at every
+tuple-designated path and compiles them — via the configured Bimax
+strategy — into deterministic :class:`EntityPartitioner`\\ s.  Pass ③
+synthesizes the schema; with the heuristic answers fixed it is an
+associative fold (:mod:`repro.discovery.fold`).
 
-Every pass is timed (:class:`~repro.engine.StageTimer`) and counted
-(the dataset's scan counter), which is what the Table 5 runtime bench
-measures.  :meth:`JxplainPipeline.run_file` reads files through the
-same state-core kernel as the CLI
-(:func:`repro.engine.sharding.fold_files`) and runs the three passes
-over the folded state's statistics.
+Both entry points are thin layers over the state core
+(:class:`~repro.discovery.state.JxplainState`): :meth:`JxplainPipeline.run`
+types in-memory records into a :class:`~repro.jsontypes.bag.CountedBag`
+and :meth:`JxplainPipeline.run_file` reads files through the same
+kernel as the CLI (:func:`repro.engine.sharding.fold_files`); both then
+run the three passes with
+:meth:`~repro.discovery.state.JxplainState.synthesize_result`, each
+pass timed (:class:`~repro.engine.StageTimer`) under its Figure 3
+stage name, which is what the Table 5 runtime bench measures.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union as TUnion
 
 from repro.discovery.base import Discoverer, register_discoverer
-from repro.discovery.codec import (
-    dumps_fold_node,
-    dumps_stat_tree,
-    dumps_tuple_shapes,
-    loads_fold_node,
-    loads_stat_tree,
-    loads_tuple_shapes,
-)
 from repro.discovery.config import FeatureMode, JxplainConfig, RobustnessConfig
-from repro.discovery.fold import DecidedFolder, FoldNode
-from repro.discovery.jxplain import JxplainMerger, cluster_key_sets
-from repro.discovery.stat_tree import (
-    CollectionDecisions,
-    StatTree,
-    decide_collections,
-)
-from repro.engine.dataset import LocalDataset
+from repro.discovery.jxplain import cluster_key_sets
+from repro.discovery.stat_tree import CollectionDecisions
 from repro.engine.executor import resolve_executor
 from repro.engine.instrument import StageTimer, counters
 from repro.entities.partitioner import EntityPartitioner
 from repro.errors import EmptyInputError
-from repro.heuristics.collection import CollectionEvidence, Designation
+from repro.heuristics.collection import Designation
 from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import Path, ROOT, STAR
 from repro.jsontypes.types import (
@@ -114,7 +102,7 @@ def _deterministic_feature_order(feature_sets: Set[frozenset]) -> List[frozenset
 class TupleShapes:
     """Pass ②'s accumulator: observed shapes at tuple-designated paths.
 
-    Merges associatively (set unions), so it folds over partitions.
+    Only set unions, so a repeated (type, path) adds nothing.
     """
 
     object_features: Dict[Path, Set[frozenset]] = field(default_factory=dict)
@@ -201,17 +189,6 @@ class TupleShapes:
                         value, child_path, decisions, extractor, seen, features
                     )
 
-    def merge(self, other: "TupleShapes") -> "TupleShapes":
-        merged = TupleShapes()
-        for source in (self, other):
-            for path, feature_sets in source.object_features.items():
-                merged.object_features.setdefault(path, set()).update(
-                    feature_sets
-                )
-            for path, lengths in source.array_lengths.items():
-                merged.array_lengths.setdefault(path, set()).update(lengths)
-        return merged
-
 
 def _compile_partitioner(task):
     """Cluster one path's key-sets into an :class:`EntityPartitioner`.
@@ -262,64 +239,6 @@ def build_partitioners(
     return object_partitioners, array_partitioners
 
 
-class PipelineMerger(JxplainMerger):
-    """Algorithm 4 with the heuristics replaced by pass ①/② lookups.
-
-    Used for testing agreement between the staged pipeline and the
-    associative fold; unseen paths fall back to the local heuristics.
-    """
-
-    def __init__(
-        self,
-        config: JxplainConfig,
-        decisions: CollectionDecisions,
-        object_partitioners: Dict[Path, EntityPartitioner],
-        array_partitioners: Dict[Path, EntityPartitioner],
-        extractor: Optional[FeatureExtractor] = None,
-    ):
-        super().__init__(config)
-        self._decisions = decisions
-        self._object_partitioners = object_partitioners
-        self._array_partitioners = array_partitioners
-        self._extractor = extractor or FeatureExtractor(decisions, config)
-
-    def is_collection(
-        self, kind: Kind, evidence: CollectionEvidence, path: Path
-    ) -> bool:
-        designation = self._decisions.get((path, kind))
-        if designation is None:
-            return super().is_collection(kind, evidence, path)
-        return designation is Designation.COLLECTION
-
-    def partition_objects(
-        self,
-        objects: Sequence[ObjectType],
-        path: Path,
-        counts: Optional[Sequence[int]] = None,
-    ) -> List[List[ObjectType]]:
-        partitioner = self._object_partitioners.get(path)
-        if partitioner is None:
-            return super().partition_objects(objects, path, counts=counts)
-        features = [
-            self._extractor.features(tau, path) for tau in objects
-        ]
-        return partitioner.non_empty_groups(list(objects), features)
-
-    def partition_arrays(
-        self,
-        arrays: Sequence[ArrayType],
-        path: Path,
-        counts: Optional[Sequence[int]] = None,
-    ) -> List[List[ArrayType]]:
-        partitioner = self._array_partitioners.get(path)
-        if partitioner is None:
-            return super().partition_arrays(arrays, path, counts=counts)
-        key_sets = [
-            frozenset(str(i) for i in range(len(tau))) for tau in arrays
-        ]
-        return partitioner.non_empty_groups(list(arrays), key_sets)
-
-
 @dataclass
 class PipelineResult:
     """Everything the staged pipeline produced."""
@@ -347,7 +266,8 @@ class PipelineResult:
 
 
 class JxplainPipeline(Discoverer):
-    """The distributable JXPLAIN of Section 4.2 (Figure 3)."""
+    """The distributable JXPLAIN of Section 4.2 (Figure 3), as a thin
+    layer over :class:`~repro.discovery.state.JxplainState`."""
 
     name = "jxplain-pipeline"
 
@@ -356,7 +276,6 @@ class JxplainPipeline(Discoverer):
         config: Optional[JxplainConfig] = None,
         *,
         num_partitions: int = 4,
-        use_fold: bool = True,
         heuristic_sample: Optional[float] = None,
         sample_seed: int = 0,
         executor=None,
@@ -371,17 +290,20 @@ class JxplainPipeline(Discoverer):
         while pass ③ still synthesizes over the full data.  Paths that
         only occur outside the sample fall back to the
         data-independent defaults (objects tuple, arrays collection).
+        The sample is :func:`~repro.io.sampling.partitioned_bernoulli_sample`
+        over ``num_partitions`` round-robin slices seeded by
+        ``sample_seed``; ``num_partitions`` affects nothing else.
 
         ``executor`` selects the engine backend (an
         :class:`~repro.engine.Executor` or a spec string like
-        ``"threads:4"``) used when the pipeline builds its own dataset
-        and for a sharded :meth:`run_file`'s fan-out; a
-        :class:`LocalDataset` passed to :meth:`run` keeps its own.
+        ``"threads:4"``): :meth:`run` fans pass ②'s per-path entity
+        clustering out over it, and a sharded :meth:`run_file` its
+        shard tasks.
 
         ``robustness`` installs the DESIGN.md §8 failure model: its
-        retry policy supervises every per-partition task of every pass
-        (on whichever backend the dataset carries), and its
-        ``on_bad_record`` policy governs :meth:`run_file` ingestion.
+        retry policy supervises every task fanned out over that
+        executor, and its ``on_bad_record`` policy governs
+        :meth:`run_file` ingestion.
 
         ``ingest``, ``shards``, ``merge_fanin`` and ``enrich`` only
         affect :meth:`run_file`.  ``ingest`` picks its reader:
@@ -414,8 +336,9 @@ class JxplainPipeline(Discoverer):
                 )
         self.shards = shards
         self.merge_fanin = merge_fanin
+        if num_partitions < 1:
+            raise ValueError("num_partitions must be positive")
         self.num_partitions = num_partitions
-        self.use_fold = use_fold
         if heuristic_sample is not None and not 0.0 < heuristic_sample <= 1.0:
             raise ValueError("heuristic_sample must be in (0, 1]")
         self.heuristic_sample = heuristic_sample
@@ -427,95 +350,84 @@ class JxplainPipeline(Discoverer):
 
     # -- the three passes ------------------------------------------------------
 
+    @contextmanager
+    def _backend(self):
+        """The executor :meth:`run` and :meth:`run_file` hand out: the
+        configured backend under the robustness retry policy.  One
+        built here (from a spec string, or to install the policy) is
+        closed afterwards."""
+        executor = resolve_executor(self.executor)
+        owned = isinstance(self.executor, str)
+        policy = (
+            self.robustness.retry_policy()
+            if self.robustness is not None
+            else None
+        )
+        if policy is not None:
+            executor = executor.with_retry(policy)
+            owned = True
+        try:
+            yield executor
+        finally:
+            if owned:
+                executor.close()
+
     def run(
-        self, data: TUnion[LocalDataset, Iterable[JsonValue]]
+        self, values: Iterable[TUnion[JsonType, JsonValue]]
     ) -> PipelineResult:
-        """Run all three passes and return schema + diagnostics."""
+        """Run all three passes and return schema + diagnostics.
+
+        ``values`` are JSON values or already-typed records.  They are
+        typed into a :class:`~repro.jsontypes.bag.CountedBag`, folded
+        into a :class:`~repro.discovery.state.JxplainState`, and
+        synthesized by its
+        :meth:`~repro.discovery.state.JxplainState.synthesize_result`.
+        """
+        from repro.discovery.state import JxplainState
+        from repro.io.sampling import partitioned_bernoulli_sample
+        from repro.jsontypes.bag import CountedBag
+
         timer = StageTimer()
-        if isinstance(data, LocalDataset):
-            dataset = data
-        else:
-            dataset = LocalDataset.from_records(
-                list(data), self.num_partitions, executor=self.executor
-            )
-        if dataset.is_empty():
-            raise EmptyInputError("pipeline: no input records")
-        if self.robustness is not None:
-            policy = self.robustness.retry_policy()
-            if policy is not None:
-                dataset = dataset.with_retry(policy)
         with timer.stage("parse"):
-            # Interning touches the module-level hash-cons table by
-            # design: writes are idempotent canonical values and the
-            # stats counters tolerate lost increments under threads.
-            types = dataset.map(self._ensure_type)  # repro-lint: disable=R9
+            types = [self._ensure_type(value) for value in values]
+            bag = CountedBag.from_types(types)
+        if not bag:
+            raise EmptyInputError("pipeline: no input records")
+        sample = []
         if self.heuristic_sample is not None and self.heuristic_sample < 1.0:
-            heuristic_types = types.sample(
-                self.heuristic_sample, seed=self.sample_seed
+            sample = partitioned_bernoulli_sample(
+                types, self.heuristic_sample, self.sample_seed,
+                self.num_partitions,
             )
-            if heuristic_types.is_empty():
-                heuristic_types = types
-        else:
-            heuristic_types = types
         with timer.stage("pass1-collections"):
-            depth = self.config.similarity_depth
-            tree = heuristic_types.tree_aggregate_serialized(
-                partial(StatTree, similarity_depth=depth),
-                _stat_add,
-                StatTree.merge,
-                dumps=dumps_stat_tree,
-                loads=loads_stat_tree,
-            )
-            decisions = decide_collections(tree, self.config)
-        extractor = FeatureExtractor(decisions, self.config)
-        with timer.stage("pass2-entities"):
-            shapes = heuristic_types.tree_aggregate_serialized(
-                TupleShapes,
-                partial(_shape_add, decisions=decisions, extractor=extractor),
-                TupleShapes.merge,
-                dumps=dumps_tuple_shapes,
-                loads=loads_tuple_shapes,
-            )
-            object_partitioners, array_partitioners = build_partitioners(
-                shapes, self.config, executor=dataset.executor
-            )
-        with timer.stage("pass3-synthesis"):
-            folder = DecidedFolder(
+            if sample:
+                heuristics = JxplainState.from_bag(
+                    CountedBag.from_types(sample), self.config
+                )
+                # Passes ①–② read the sample's statistics; pass ③ only
+                # the full bag, so the full stat tree is never built.
+                state = JxplainState(self.config)
+                state.bag = bag
+            else:
+                # No sample, or an empty one: the heuristics see it all.
+                heuristics = None
+                state = JxplainState.from_bag(bag, self.config)
+        with self._backend() as executor:
+            (
+                schema,
                 decisions,
                 object_partitioners,
                 array_partitioners,
-                self.config,
-                extractor=extractor,
+            ) = state.synthesize_result(
+                heuristics, timer=timer, executor=executor
             )
-            if self.use_fold:
-                node = types.tree_aggregate_serialized(
-                    FoldNode,
-                    partial(_fold_add, folder=folder),
-                    folder.combine,
-                    dumps=dumps_fold_node,
-                    loads=loads_fold_node,
-                )
-                schema = folder.schema(node)
-            else:
-                merger = PipelineMerger(
-                    self.config,
-                    decisions,
-                    object_partitioners,
-                    array_partitioners,
-                    extractor=extractor,
-                )
-                schema = merger.merge(types.collect())
         return PipelineResult(
             schema=schema,
             decisions=decisions,
             object_partitioners=object_partitioners,
             array_partitioners=array_partitioners,
             timer=timer,
-            record_count=(
-                _tree_record_count(tree)
-                if heuristic_types is types
-                else types.count()
-            ),
+            record_count=state.record_count,
         )
 
     def run_file(
@@ -589,17 +501,18 @@ class JxplainPipeline(Discoverer):
                 "jxplain", self.config, enrich=self.enrich
             )
         timer = StageTimer()
-        state, reports = fold_files(
-            state,
-            sources,
-            ingest=self.ingest,
-            on_bad_record=policy,
-            shards=self.shards,
-            executor=self.executor,
-            merge_fanin=self.merge_fanin,
-            checkpoint=checkpoint,
-            timer=timer,
-        )
+        with self._backend() as executor:
+            state, reports = fold_files(
+                state,
+                sources,
+                ingest=self.ingest,
+                on_bad_record=policy,
+                shards=self.shards,
+                executor=executor,
+                merge_fanin=self.merge_fanin,
+                checkpoint=checkpoint,
+                timer=timer,
+            )
         with timer.stage("synthesis"):
             (
                 schema,
@@ -631,42 +544,10 @@ class JxplainPipeline(Discoverer):
     # -- Discoverer interface ------------------------------------------------------
 
     def merge_types(self, types: Iterable[JsonType]) -> Schema:
-        return self.run(LocalDataset.from_records(
-            list(types), self.num_partitions, executor=self.executor
-        )).schema
+        return self.run(types).schema
 
     def discover(self, values: Iterable[JsonValue]) -> Schema:
         return self.run(values).schema
-
-
-def _tree_record_count(tree: StatTree) -> int:
-    """Root record count, recovered from pass ①'s statistics so the
-    pipeline does not need an extra counting pass."""
-    count = sum(tree.primitive_kinds.values())
-    if tree.object_evidence is not None:
-        count += tree.object_evidence.record_count
-    if tree.array_evidence is not None:
-        count += tree.array_evidence.record_count
-    return count
-
-
-def _stat_add(tree: StatTree, tau: JsonType) -> StatTree:
-    tree.add(tau)
-    return tree
-
-
-def _shape_add(
-    shapes: TupleShapes,
-    tau: JsonType,
-    decisions: CollectionDecisions,
-    extractor: FeatureExtractor,
-) -> TupleShapes:
-    shapes.add(tau, decisions, extractor)
-    return shapes
-
-
-def _fold_add(node: FoldNode, tau: JsonType, folder: DecidedFolder) -> FoldNode:
-    return folder.combine(node, folder.lift(tau))
 
 
 # The partitioned pipeline is a first-class discoverer: registering it

@@ -67,6 +67,7 @@ __all__ = [
     "HLLCardinalitySketch",
     "KeyEvidence",
     "MAX_BLOOM_BITS",
+    "MAX_BLOOM_HASHES",
     "MinMaxSketch",
     "PathSketches",
     "SKETCH_CLASSES",
@@ -89,9 +90,14 @@ DEFAULT_BLOOM_BITS = 1024
 DEFAULT_BLOOM_HASHES = 4
 
 #: Widest Bloom filter the options accept (8 KiB per path, 64x the
-#: default).  With ``hashes <= bits`` it bounds the per-value absorb
-#: cost of any state, including one decoded from a forged checkpoint.
+#: default).
 MAX_BLOOM_BITS = 1 << 16
+
+#: Most Bloom hash functions the options accept (16x the default).
+#: Each absorbed value costs one probe per hash, so this bounds the
+#: per-value absorb cost of any state, including one decoded from a
+#: forged checkpoint.
+MAX_BLOOM_HASHES = 64
 
 #: Default HyperLogLog precision (2**8 = 256 one-byte registers).
 DEFAULT_HLL_PRECISION = 8
@@ -555,10 +561,12 @@ class EnrichmentOptions:
                 f"bloom_bits must be <= {MAX_BLOOM_BITS}, got "
                 f"{self.bloom_bits}"
             )
-        if not 1 <= self.bloom_hashes <= self.bloom_bits:
+        if not 1 <= self.bloom_hashes <= min(
+            self.bloom_bits, MAX_BLOOM_HASHES
+        ):
             raise ValueError(
-                "bloom_hashes must be in [1, bloom_bits], got "
-                f"{self.bloom_hashes}"
+                "bloom_hashes must be in [1, min(bloom_bits, "
+                f"{MAX_BLOOM_HASHES})], got {self.bloom_hashes}"
             )
         if not 4 <= self.hll_precision <= 16:
             raise ValueError(

@@ -36,7 +36,7 @@ from repro.discovery.codec import Decoder, Encoder
 from repro.discovery.config import EntityStrategy, JxplainConfig
 from repro.discovery.sketches import EnrichmentState, parse_enrich_spec
 from repro.discovery.stat_tree import StatTree
-from repro.engine.instrument import counters
+from repro.engine.instrument import StageTimer, counters
 from repro.errors import CheckpointError, EmptyInputError, StateCodecError
 from repro.jsontypes.bag import CountedBag
 from repro.jsontypes.types import JsonType, JsonValue, type_of
@@ -394,8 +394,17 @@ class JxplainState(DiscoveryState):
     def __contains__(self, tau: JsonType) -> bool:
         return tau in self.bag
 
-    def synthesize_result(self):
-        """Run passes ①–③ over the statistics.
+    def synthesize_result(self, heuristics=None, timer=None, executor=None):
+        """Run passes ①–③ (Figure 3) over the statistics.
+
+        Passes ① and ② read ``heuristics.tree`` / ``heuristics.bag``
+        — §4.2's sample, as a :class:`JxplainState` of the sampled
+        records — or this state's own when ``heuristics`` is None;
+        pass ③ always folds this state's bag.  Each pass runs under
+        its stage name on ``timer`` (a
+        :class:`~repro.engine.instrument.StageTimer`), which also
+        makes it a fault-injection target; ``executor`` fans out pass
+        ②'s per-path clustering.
 
         Returns ``(schema, decisions, object_partitioners,
         array_partitioners)`` — everything
@@ -411,31 +420,33 @@ class JxplainState(DiscoveryState):
 
         if not self.bag:
             raise EmptyInputError("jxplain state: no records absorbed")
-        decisions = decide_collections(self.tree, self.config)
+        heuristics = heuristics if heuristics is not None else self
+        timer = timer if timer is not None else StageTimer()
+        with timer.stage("pass1-collections"):
+            decisions = decide_collections(heuristics.tree, self.config)
         extractor = FeatureExtractor(decisions, self.config)
         # Object features per (type, path), computed by pass ② and
         # reused by pass ③; like both passes' memos, it lives for this
         # synthesis only.
         features: dict = {}
-        shapes = TupleShapes()
-        shapes.add_all(self.bag.distinct(), decisions, extractor, features)
-        object_partitioners, array_partitioners = build_partitioners(
-            shapes, self.config
-        )
-        folder = DecidedFolder(
-            decisions,
-            object_partitioners,
-            array_partitioners,
-            self.config,
-            extractor=extractor,
-        )
-        node = folder.fold(self.bag.distinct(), features)
-        return (
-            folder.schema(node),
-            decisions,
-            object_partitioners,
-            array_partitioners,
-        )
+        with timer.stage("pass2-entities"):
+            shapes = TupleShapes()
+            shapes.add_all(
+                heuristics.bag.distinct(), decisions, extractor, features
+            )
+            object_partitioners, array_partitioners = build_partitioners(
+                shapes, self.config, executor=executor
+            )
+        with timer.stage("pass3-synthesis"):
+            folder = DecidedFolder(
+                decisions,
+                object_partitioners,
+                array_partitioners,
+                self.config,
+                extractor=extractor,
+            )
+            schema = folder.schema(folder.fold(self.bag.distinct(), features))
+        return schema, decisions, object_partitioners, array_partitioners
 
     def synthesize(self) -> Schema:
         return self.synthesize_result()[0]

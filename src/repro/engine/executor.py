@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the dataflow engine.
+"""Pluggable execution backends for the engine.
 
 The paper runs both extractors on Spark, where per-partition work fans
 out across a cluster.  :class:`Executor` is the local analogue of that
@@ -22,9 +22,8 @@ backends are provided:
   preserved on the executor (``last_fallback_error``) and in its
   ``repr`` so degraded runs are visible.
 
-Backends are value objects from the dataset's point of view: a
-``LocalDataset`` holds one and threads it through every derived
-dataset, so an entire lineage runs on the backend of its source.
+Backends are value objects: the shard coordinator fans shard tasks
+out over one, and the staged pipeline its per-path entity clustering.
 ``resolve_executor`` turns a spec string (``"serial"``, ``"threads"``,
 ``"threads:8"``, ``"processes:4"``) into an executor; the process-wide
 default comes from the ``REPRO_EXECUTOR`` environment variable and
@@ -519,7 +518,7 @@ def default_executor() -> Executor:
 
 
 def set_default_executor(spec) -> Executor:
-    """Install the default backend for datasets created without one."""
+    """Install the default backend for callers that name none."""
     global _default_executor
     _default_executor = resolve_executor(spec)
     return _default_executor

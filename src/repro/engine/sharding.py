@@ -93,8 +93,7 @@ def default_shard_count(file_size: int, workers: int) -> int:
     :data:`SHARDS_PER_WORKER` shards per worker for tail latency,
     but never so many that a shard falls under
     :data:`MIN_SHARD_BYTES` — small files collapse toward a single
-    shard, where serial dispatch wins.  The byte-range analogue of
-    :func:`repro.engine.dataset.adaptive_partitions`.
+    shard, where serial dispatch wins.
     """
     if file_size <= 0:
         return 1
@@ -251,7 +250,31 @@ def _report_from_json(payload: dict):
         )
         for bad in payload["bad_records"]
     ]
+    # The driver sums these when it merges the shard reports.
+    numbers = [report.total_lines, report.record_count] + [
+        bad.line_number for bad in report.bad_records
+    ]
+    if not all(type(number) is int for number in numbers):
+        raise TypeError("line numbers and counts must be integers")
     return report
+
+
+def _read_checkpoint_json(path: str, build=None):
+    """Parse one shard-checkpoint JSON file — the manifest or a report
+    sidecar — and, when given, ``build`` a value from it.
+
+    A non-UTF-8, non-JSON or wrong-shaped document fails as a
+    :class:`~repro.errors.CheckpointError` naming the file.
+    """
+    try:
+        with open(path, "rb") as handle:
+            payload = json.loads(handle.read().decode("utf-8"))
+        return payload if build is None else build(payload)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(
+            f"damaged shard checkpoint file {path!r}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
@@ -269,8 +292,7 @@ def _load_shard_checkpoint(task: ShardTask) -> Optional[ShardResult]:
         return None
     with open(state_path, "rb") as handle:
         state_bytes = handle.read()
-    with open(report_path, "r", encoding="utf-8") as handle:
-        report = _report_from_json(json.load(handle))
+    report = _read_checkpoint_json(report_path, _report_from_json)
     return ShardResult(
         index=task.index,
         state_bytes=state_bytes,
@@ -505,8 +527,7 @@ class ShardCoordinator:
         manifest_path = os.path.join(self.checkpoint_dir, MANIFEST_NAME)
         manifest = self._manifest(plan)
         if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                existing = json.load(handle)
+            existing = _read_checkpoint_json(manifest_path)
             if existing != manifest:
                 raise CheckpointError(
                     f"shard checkpoint dir {self.checkpoint_dir!r} was "

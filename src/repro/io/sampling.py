@@ -44,6 +44,33 @@ def uniform_sample(
     return [records[i] for i in chosen]
 
 
+def partitioned_bernoulli_sample(
+    records: Sequence[T], fraction: float, seed: int, partitions: int
+) -> List[T]:
+    """§4.2's heuristic sample: a Bernoulli sample over dealt slices.
+
+    Records are dealt round-robin into ``partitions`` slices; slice
+    ``i`` keeps each record with probability ``fraction`` under its
+    own ``random.Random(seed * 2654435761 + i)`` (a Knuth-style mix,
+    since ``Random`` only takes scalar seeds).  The sample is the kept
+    records of slice 0, then slice 1, and so on — a pure function of
+    ``(records, fraction, seed, partitions)``.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be within [0, 1]")
+    if partitions < 1:
+        raise ValueError("partitions must be positive")
+    sample: List[T] = []
+    for index in range(partitions):
+        rng = random.Random(seed * 2654435761 + index)
+        sample.extend(
+            record
+            for record in records[index::partitions]
+            if rng.random() < fraction
+        )
+    return sample
+
+
 @dataclass
 class TrainTestSplit:
     """A train/test partition of a record collection."""

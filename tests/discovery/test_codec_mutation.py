@@ -161,12 +161,23 @@ class TestForgedSketchGeometry:
         [
             {"bloom_hashes": 1025},
             {"bloom_bits": 1 << 24},
+            {"bloom_bits": 1 << 16, "bloom_hashes": 1 << 16},
         ],
-        ids=["hashes-above-bits", "bits-above-ceiling"],
+        ids=["hashes-above-bits", "bits-above-ceiling", "hashes-above-ceiling"],
     )
     def test_options_have_upper_bounds(self, options):
         with pytest.raises(ValueError):
             EnrichmentOptions(**options).validate()
+
+    def test_decode_rejects_forged_options_block(self):
+        """Options and bundles that agree on 65,536 hashes (each absorb
+        ~5,000x the default cost) still fail to decode."""
+        state = state_for_algorithm("jxplain", enrich="sketches")
+        state.enrichment.options = EnrichmentOptions(
+            bloom_bits=1 << 16, bloom_hashes=1 << 16
+        )
+        with pytest.raises(StateCodecError):
+            DiscoveryState.from_bytes(state.to_bytes())
 
     def test_resume_append_exits_2_with_one_error_line(
         self, tmp_path, capsys

@@ -9,13 +9,13 @@ from repro.discovery.config import JxplainConfig
 from repro.discovery.fold import DecidedFolder, FoldNode
 from repro.discovery.pipeline import (
     FeatureExtractor,
-    PipelineMerger,
     TupleShapes,
     build_partitioners,
 )
 from repro.discovery.stat_tree import StatTree, decide_collections
 from repro.jsontypes.types import type_of
 from tests.conftest import json_values
+from tests.discovery.pipeline_merger_reference import PipelineMerger
 
 value_lists = st.lists(json_values(max_leaves=6), min_size=1, max_size=8)
 

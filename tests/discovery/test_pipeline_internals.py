@@ -2,7 +2,8 @@
 
 The end-to-end equivalence tests in ``test_pipeline.py`` exercise the
 whole; these pin down the parts: the feature extractor's caching and
-pruning, the TupleShapes monoid, and partitioner compilation.
+pruning, the TupleShapes accumulator (and the reference's associative
+merge of it), and partitioner compilation.
 """
 
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.jsontypes.kinds import Kind
 from repro.jsontypes.paths import ROOT, STAR
 from repro.jsontypes.types import type_of
 from tests.conftest import json_values
+from tests.discovery.pipeline_merger_reference import merge_shapes
 
 value_lists = st.lists(json_values(max_leaves=6), min_size=1, max_size=8)
 
@@ -120,7 +122,7 @@ class TestTupleShapes:
         right = TupleShapes()
         for tau in types[cut:]:
             right.add(tau, decisions, extractor)
-        merged = left.merge(right)
+        merged = merge_shapes(left, right)
         sequential = TupleShapes()
         for tau in types:
             sequential.add(tau, decisions, extractor)

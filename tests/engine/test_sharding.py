@@ -250,6 +250,34 @@ class TestCheckpoints:
                 corpus, "jxplain", shards=2, checkpoint_dir=ckpt
             )
 
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            (MANIFEST_NAME, b"\xff\xfe not utf-8"),
+            (MANIFEST_NAME, b"{not json"),
+            ("shard-00000.report.json", b"{not json"),
+            ("shard-00000.report.json", b"{}"),
+            ("shard-00000.report.json", b"\xff\xfe not utf-8"),
+            (
+                "shard-00000.report.json",
+                b'{"path": "x", "policy": "raise", "total_lines": "9",'
+                b' "record_count": 1, "bad_records": []}',
+            ),
+        ],
+    )
+    def test_damaged_checkpoint_files_fail_typed(
+        self, corpus, tmp_path, name, damage
+    ):
+        """A rerun over a damaged manifest or report sidecar raises a
+        CheckpointError naming the file, never a raw decode error."""
+        ckpt = tmp_path / "shards"
+        discover_sharded(corpus, "jxplain", shards=2, checkpoint_dir=ckpt)
+        (ckpt / name).write_bytes(damage)
+        with pytest.raises(CheckpointError, match=name):
+            discover_sharded(
+                corpus, "jxplain", shards=2, checkpoint_dir=ckpt
+            )
+
     def test_manifest_content(self, corpus, tmp_path):
         ckpt = tmp_path / "shards"
         discover_sharded(corpus, "jxplain", shards=2, checkpoint_dir=ckpt)

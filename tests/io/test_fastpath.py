@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.engine.dataset import LocalDataset
 from repro.engine.sharding import absorb_file
 from repro.errors import DatasetError
 from repro.io.fastpath import ingest_jsonlines_fused, read_jsonlines_fused
@@ -23,6 +22,7 @@ from repro.io.jsonlines import (
     ingest_jsonlines,
     load_jsonlines,
 )
+from repro.jsontypes.bag import CountedBag
 from repro.jsontypes.tokenizer import ShapeCache
 from repro.jsontypes.types import type_of
 
@@ -139,11 +139,10 @@ def test_dataset_from_jsonlines_fused(tmp_path):
 
     path = _write(tmp_path / "ds.jsonl", ['{"a": 1}', '{"b": [1]}'] * 4)
     types, report = ingest_jsonlines_fused(path)
-    dataset = LocalDataset.from_records(types)
+    bag = CountedBag.from_types(types)
     assert report.record_count == 8
-    assert sorted(map(repr, set(dataset.collect()))) == sorted(
-        map(repr, {type_of({"a": 1}), type_of({"b": [1]})})
-    )
+    assert bag.distinct() == [type_of({"a": 1}), type_of({"b": [1]})]
+    assert bag.counts() == [4, 4]
     with pytest.raises(DatasetError, match="unknown ingest mode"):
         absorb_file(
             state_for_algorithm("l-reduce"),
@@ -151,20 +150,6 @@ def test_dataset_from_jsonlines_fused(tmp_path):
             ingest="warp",
             on_bad_record="raise",
         )
-
-
-def test_adaptive_partitioning_is_opt_in(tmp_path):
-    from repro.engine.dataset import adaptive_partitions
-
-    records = load_jsonlines(_write(tmp_path / "tiny.jsonl", ['{"a": 1}'] * 6))
-    # Explicit default: unchanged layout.
-    assert LocalDataset.from_records(records).num_partitions == 4
-    # Adaptive: six records collapse to one partition.
-    assert LocalDataset.from_records(records, None).num_partitions == 1
-    assert adaptive_partitions(0, 8) == 1
-    assert adaptive_partitions(100, 8) == 1
-    assert adaptive_partitions(4096, 8) == 4
-    assert adaptive_partitions(1_000_000, 8) == 8
 
 
 def test_fused_counters_flush_once_per_file(tmp_path):

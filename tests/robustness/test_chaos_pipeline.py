@@ -1,13 +1,14 @@
 """Chaos harness: discovery output is invariant under injected faults.
 
 The acceptance bar for the fault-tolerance layer: with a
-:class:`FaultPlan` injecting at least one crash and one timeout into
-*every* stage of the staged JXPLAIN pipeline (plus a corrupt result in
-synthesis), the discovered schema is byte-identical to a fault-free
-run, and the retry/timeout counters account for exactly the injected
-faults — no more (no spurious retries), no less (the plan really
-fired).  The same invariance is asserted for the K-reduce fold and for
-genuine process-pool worker crashes.
+:class:`FaultPlan` injecting crashes, a timeout and a corrupt result
+into the kernel's ``shard-discover`` stage of a sharded
+:meth:`JxplainPipeline.run_file`, the discovered schema is
+byte-identical to a fault-free run, and the retry/timeout counters
+account for exactly the injected faults — no more (no spurious
+retries), no less (the plan really fired).  The same invariance is
+asserted for the pipeline's pass-② fan-out, for a K-reduce fold over
+explicit slices and for genuine process-pool worker crashes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.datasets import make_dataset
 from repro.discovery.kreduce import merge_k, merge_k_schemas
 from repro.discovery.pipeline import JxplainPipeline
 from repro.engine import (
-    LocalDataset,
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
@@ -31,6 +31,7 @@ from repro.engine import (
     install_fault_plan,
     stage_scope,
 )
+from repro.io.jsonlines import write_jsonlines
 from repro.jsontypes.types import type_of
 from repro.schema import to_json_schema
 
@@ -46,16 +47,15 @@ CHAOS_POLICY = RetryPolicy(
     on_failure="serial",
 )
 
-#: ≥1 crash and ≥1 timeout in every pipeline stage, plus one corrupt
-#: result during synthesis.  All faults stand down after one firing,
-#: so a single retry clears each.
-PIPELINE_PLAN = ",".join(
+#: Two crashes, a timeout and a corrupt result across the four shard
+#: tasks of a sharded run.  All faults stand down after one firing, so
+#: a single retry clears each.
+SHARD_PLAN = ",".join(
     [
-        f"parse:0:raise,parse:1:delay:1:{INJECTED_DELAY}",
-        f"pass1-collections:1:raise,pass1-collections:2:delay:1:{INJECTED_DELAY}",
-        f"pass2-entities:2:raise,pass2-entities:3:delay:1:{INJECTED_DELAY}",
-        f"pass3-synthesis:3:raise,pass3-synthesis:0:delay:1:{INJECTED_DELAY}",
-        "pass3-synthesis:2:corrupt",
+        "shard-discover:0:raise",
+        f"shard-discover:1:delay:1:{INJECTED_DELAY}",
+        "shard-discover:2:corrupt",
+        "shard-discover:3:raise",
     ]
 )
 
@@ -69,9 +69,20 @@ def _clean_plan():
 
 @pytest.fixture(scope="module")
 def records():
-    """A multi-entity corpus small enough that honest per-partition
-    work finishes far inside the injected deadline."""
+    """A multi-entity corpus small enough that honest per-shard work
+    finishes far inside the injected deadline."""
     return make_dataset("github").generate(160, seed=7)
+
+
+@pytest.fixture(scope="module")
+def corpus(records, tmp_path_factory):
+    path = tmp_path_factory.mktemp("chaos") / "github.jsonl"
+    write_jsonlines(path, records)
+    return path
+
+
+def _slices(records, count=4):
+    return [records[index::count] for index in range(count)]
 
 
 def schema_bytes(schema) -> bytes:
@@ -83,32 +94,30 @@ def _delta(before, name: str) -> float:
 
 
 class TestPipelineChaos:
-    def test_jxplain_output_identical_under_faults(self, records):
-        baseline = JxplainPipeline(
-            num_partitions=4, executor=SerialExecutor()
-        ).run(records)
-        install_fault_plan(PIPELINE_PLAN)
+    def test_jxplain_output_identical_under_faults(self, corpus):
+        baseline = JxplainPipeline(shards=4, executor=SerialExecutor()).run_file(
+            corpus
+        )
+        install_fault_plan(SHARD_PLAN)
         executor = ThreadExecutor(4, retry=CHAOS_POLICY)
         before = counters.snapshot()
         try:
-            chaotic = JxplainPipeline(num_partitions=4, executor=executor).run(
-                records
+            chaotic = JxplainPipeline(shards=4, executor=executor).run_file(
+                corpus
             )
         finally:
             executor.close()
         assert schema_bytes(chaotic.schema) == schema_bytes(baseline.schema)
         assert chaotic.record_count == baseline.record_count
         assert chaotic.decisions == baseline.decisions
+        assert chaotic.state.to_bytes() == baseline.state.to_bytes()
 
         injected_raise = _delta(before, "faults.injected_raise")
         injected_delay = _delta(before, "faults.injected_delay")
         injected_corrupt = _delta(before, "faults.injected_corrupt")
-        # The plan names one crash and one timeout per stage (they can
-        # fire again in pass ②'s partitioner fan-out, which shares the
-        # stage label — that is by design, and also retried away).
-        assert injected_raise >= 4
-        assert injected_delay >= 4
-        assert injected_corrupt >= 1
+        assert injected_raise == 2
+        assert injected_delay == 1
+        assert injected_corrupt == 1
         # Every injected delay overran the deadline; nothing else did.
         assert _delta(before, "executor.timeouts") == injected_delay
         # Exactly one retry per injected fault, of any kind.
@@ -120,32 +129,38 @@ class TestPipelineChaos:
         assert _delta(before, "executor.serial_rescues") == 0
         assert _delta(before, "executor.skipped_tasks") == 0
 
-    def test_robustness_config_wires_the_policy(self, records):
-        """The same invariance, configured via RobustnessConfig."""
+    def test_robustness_config_wires_the_policy(self, corpus):
+        """The same invariance, configured via RobustnessConfig: its
+        retry policy supervises run_file's shard tasks."""
         from repro.discovery import RobustnessConfig
 
-        baseline = JxplainPipeline(num_partitions=4).discover(records)
-        install_fault_plan("parse:0:raise:1,pass3-synthesis:1:raise:1")
+        baseline = JxplainPipeline().run_file(corpus)
+        install_fault_plan("shard-discover:0:raise:1,shard-discover:2:raise:1")
         robust = JxplainPipeline(
-            num_partitions=4,
+            shards=4,
             executor=ThreadExecutor(2),
             robustness=RobustnessConfig(
                 max_retries=2, backoff_base=0.001, on_failure="serial"
             ),
         )
-        assert schema_bytes(robust.discover(records)) == schema_bytes(baseline)
+        before = counters.snapshot()
+        result = robust.run_file(corpus)
+        assert schema_bytes(result.schema) == schema_bytes(baseline.schema)
+        assert _delta(before, "faults.injected_raise") == 2
+        assert _delta(before, "executor.retries") == 2
 
 
 def _kreduce_partition(partition):
-    return [merge_k([type_of(record) for record in partition])]
+    return merge_k([type_of(record) for record in partition])
 
 
 class TestKReduceChaos:
     def test_kreduce_fold_identical_under_faults(self, records):
         def fold(executor):
-            dataset = LocalDataset.from_records(records, 4, executor=executor)
             with stage_scope("kreduce-fold"):
-                partials = dataset.map_partitions(_kreduce_partition).collect()
+                partials = executor.map_list(
+                    _kreduce_partition, _slices(records)
+                )
             return functools.reduce(merge_k_schemas, partials)
 
         baseline = fold(SerialExecutor())
@@ -168,24 +183,26 @@ class TestKReduceChaos:
         assert _delta(before, "executor.skipped_tasks") == 0
 
 
-def _tag(record):
+def _tag(partition):
     # Module-level and closure-free so the process backend ships it to
     # real pool workers instead of degrading to the driver.
-    return {"type": record.get("type", "?"), "n": len(record)}
+    return [
+        {"type": record.get("type", "?"), "n": len(record)}
+        for record in partition
+    ]
 
 
 class TestProcessWorkerChaos:
     def test_real_worker_crashes_are_survived(self, records):
-        serial = LocalDataset.from_records(records, 4).map(_tag).collect()
+        serial = [_tag(partition) for partition in _slices(records)]
         install_fault_plan(
             f"process-map:1:raise,process-map:2:delay:1:{INJECTED_DELAY}"
         )
         executor = ProcessExecutor(2, retry=CHAOS_POLICY)
         before = counters.snapshot()
         try:
-            dataset = LocalDataset.from_records(records, 4, executor=executor)
             with stage_scope("process-map"):
-                parallel = dataset.map(_tag).collect()
+                parallel = executor.map_list(_tag, _slices(records))
         finally:
             executor.close()
         assert parallel == serial
@@ -201,17 +218,18 @@ class TestProcessWorkerChaos:
 
 class TestEnvDrivenChaos:
     def test_repro_faults_env_plan_fires(self, monkeypatch, records):
+        """An env plan on run()'s pass-② clustering fan-out fires and
+        is retried away."""
         from repro.engine.faults import FAULTS_ENV_VAR
 
-        baseline = JxplainPipeline(num_partitions=4).discover(records)
-        monkeypatch.setenv(FAULTS_ENV_VAR, "pass1-collections:0:raise:1")
+        baseline = JxplainPipeline().discover(records)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "pass2-entities:0:raise:1")
         executor = ThreadExecutor(2, retry=CHAOS_POLICY)
         before = counters.snapshot()
         try:
-            schema = JxplainPipeline(
-                num_partitions=4, executor=executor
-            ).discover(records)
+            schema = JxplainPipeline(executor=executor).discover(records)
         finally:
             executor.close()
         assert schema_bytes(schema) == schema_bytes(baseline)
         assert _delta(before, "faults.injected_raise") == 1
+        assert _delta(before, "executor.retries") == 1

@@ -291,6 +291,38 @@ class TestDiscoverSharded:
         ) == 0
         assert ckpt.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize(
+        "damaged", ["manifest.json", "shard-00000.report.json"]
+    )
+    def test_damaged_shard_checkpoint_exits_2(
+        self, corpus, tmp_path, capsys, damaged
+    ):
+        """A killed ``--shards --checkpoint`` run leaves per-shard files
+        under ``CHECKPOINT.shards/``; a rerun over a damaged one fails
+        with one ``error:`` line and rc 2."""
+        from repro.engine.sharding import fold_files, shard_checkpoint_dir
+
+        ckpt = tmp_path / "run.state"
+        # The shard checkpoints the CLI's own run leaves before commit.
+        fold_files(
+            state_for_algorithm("bimax-merge"), [str(corpus)],
+            ingest="classic", on_bad_record="raise", shards=2,
+            checkpoint=str(ckpt),
+        )
+        shard_dir = shard_checkpoint_dir(str(ckpt), str(corpus))
+        with open(os.path.join(shard_dir, damaged), "wb") as handle:
+            handle.write(b"\xff not json")
+        capsys.readouterr()
+        assert main(
+            [
+                "discover", str(corpus), "--shards", "2", "--workers", "2",
+                "--checkpoint", str(ckpt),
+            ]
+        ) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and damaged in err[0]
+
     def test_workers_without_shards_errors(self, corpus, capsys):
         assert main(["discover", str(corpus), "--workers", "2"]) == 2
         assert "--shards" in capsys.readouterr().err
